@@ -37,6 +37,10 @@ class KairosPolicy final : public Policy {
   void Distribute(const RoundContext& ctx,
                   std::vector<Assignment>& out) override;
 
+  /// The penalized cost matrix the last Distribute solved (queries x
+  /// instances); empty before the first non-trivial round.
+  const Matrix& LastCostMatrix() const { return cost_; }
+
  private:
   KairosPolicyOptions options_;
 
@@ -44,13 +48,16 @@ class KairosPolicy final : public Policy {
   // loop allocates nothing here once high-water sizes are reached.
   Matrix cost_;
   assign::JvWorkspace jv_ws_;
-  std::vector<double> coeff_;
-  std::vector<double> largest_ms_;
-  std::vector<int> batch_scratch_;  ///< waiting batch sizes
-  /// per_type_ms_[t][i] = noiseless prediction for waiting[i] on type t,
-  /// filled once per round per type present (deterministic predictor only).
-  std::vector<std::vector<double>> per_type_ms_;
-  std::vector<char> type_priced_;   ///< per-round "column filled" marks
+  std::vector<cloud::TypeId> col_type_;  ///< per instance: its type
+  std::vector<Time> col_busy_;           ///< per instance: busy remaining
+  std::vector<double> col_coeff_;        ///< per instance: C_j
+  std::vector<char> type_present_;       ///< per type: has an instance
+  std::vector<double> type_largest_ms_;  ///< per type: kMaxBatchSize latency
+  std::vector<int> batch_scratch_;       ///< waiting batch sizes
+  std::vector<double> type_ms_;          ///< one type's batched predictions
+  /// Noiseless serve seconds, row-major [waiting][type] (deterministic
+  /// predictor only; entries of absent types are never read).
+  std::vector<double> serve_sec_;
 };
 
 }  // namespace kairos::policy

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
 #include <memory>
 
+#include "common/rng.h"
 #include "policy/clockwork_policy.h"
 #include "policy/drs_policy.h"
 #include "policy/kairos_policy.h"
@@ -9,6 +13,7 @@
 #include "policy/ribbon_policy.h"
 #include "serving/system.h"
 #include "workload/trace.h"
+#include "reference_jv.h"
 
 namespace kairos::policy {
 namespace {
@@ -145,6 +150,210 @@ TEST(KairosPolicyTest, EmptyInputsYieldNoAssignments) {
   auto ctx = f.Ctx(none, instances, 300.0);
   EXPECT_TRUE(policy.Distribute(ctx).empty());
 }
+
+// ---------------------------------------------------------------------------
+// Round equivalence: KairosPolicy prices per instance type and solves with
+// the two-lane JV kernel; the round it replaced priced every (query,
+// instance) pair and solved with the scalar kernel. The engine's
+// fingerprints rest on the two agreeing exactly, cost bits included.
+// ---------------------------------------------------------------------------
+
+// The replaced round, verbatim: coefficients priced once per instance,
+// busy time and the ms -> s conversion once per (query, instance) pair,
+// then the scalar JV solver. Fills `cost` with the solved matrix.
+std::vector<Assignment> ReferenceKairosRound(const RoundContext& ctx,
+                                             const KairosPolicyOptions& options,
+                                             Matrix& cost) {
+  std::vector<Assignment> out;
+  const std::size_t m = ctx.waiting.size();
+  const std::size_t n = ctx.instances.size();
+  if (m == 0 || n == 0) return out;
+
+  std::vector<double> coeff(n, 1.0);
+  if (options.use_heterogeneity_coefficient) {
+    double best_ms = std::numeric_limits<double>::infinity();
+    std::vector<double> largest_ms(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      largest_ms[j] = ctx.predictor->PredictMsNoiseless(
+          ctx.instances[j].type, latency::kMaxBatchSize);
+      best_ms = std::min(best_ms, largest_ms[j]);
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      coeff[j] = largest_ms[j] > 0.0 ? best_ms / largest_ms[j] : 1.0;
+    }
+  }
+
+  const bool batched = ctx.predictor->IsDeterministic();
+  std::vector<std::vector<double>> per_type_ms;
+  if (batched) {
+    std::vector<int> batches(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      batches[i] = ctx.waiting[i].batch_size;
+    }
+    cloud::TypeId max_type = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      max_type = std::max(max_type, ctx.instances[j].type);
+    }
+    per_type_ms.resize(max_type + 1);
+    std::vector<char> priced(max_type + 1, 0);
+    for (std::size_t j = 0; j < n; ++j) {
+      const cloud::TypeId t = ctx.instances[j].type;
+      if (priced[t]) continue;
+      ctx.predictor->PredictMsNoiselessBatch(t, batches, per_type_ms[t]);
+      priced[t] = 1;
+    }
+  }
+
+  cost.Reshape(m, n);
+  const double penalty_sec = options.penalty_factor * ctx.qos_sec;
+  for (std::size_t i = 0; i < m; ++i) {
+    const Query& q = ctx.waiting[i];
+    const Time wait = ctx.now - q.arrival;
+    for (std::size_t j = 0; j < n; ++j) {
+      const InstanceView& inst = ctx.instances[j];
+      const Time busy_remaining = std::max(0.0, inst.available_at - ctx.now);
+      const Time serve =
+          batched ? MsToSec(per_type_ms[inst.type][i])
+                  : ctx.predictor->Predict(inst.type, q.batch_size);
+      Time l = busy_remaining + serve;
+      if (l + wait > options.xi * ctx.qos_sec) l = penalty_sec;
+      cost(i, j) = coeff[j] * l;
+    }
+  }
+
+  const assign::AssignmentResult match =
+      assign::reference::ReferenceSolveJv(cost);
+  for (std::size_t i = 0; i < m; ++i) {
+    const int j = match.col_for_row[i];
+    if (j >= 0) out.push_back(Assignment{i, static_cast<std::size_t>(j)});
+  }
+  return out;
+}
+
+struct RoundVariant {
+  const char* name;
+  bool pretrained;
+  double noise_sigma;
+  bool heterogeneity;
+};
+
+class KairosRoundEquivalence : public ::testing::TestWithParam<RoundVariant> {
+};
+
+// Random rounds on the paper pool (4 types, `pools` lists which of them
+// the instances use: all, gaps, no base type, one type). The policy under
+// test keeps its scratch across every round and shape; the reference gets
+// its own, identically built predictor, so under noise both must consume
+// their streams in the same (query, instance) order to agree.
+TEST_P(KairosRoundEquivalence, SameAssignmentsAndCostBits) {
+  const RoundVariant variant = GetParam();
+  const Catalog catalog = Catalog::PaperPool();
+  const LatencyModel truth(
+      {{4.0, 0.02}, {9.0, 0.06}, {15.0, 0.11}, {20.0, 0.2}});
+  serving::PredictorOptions predictor_options;
+  predictor_options.pretrained = variant.pretrained;
+  predictor_options.noise_sigma = variant.noise_sigma;
+  LatencyPredictor predictor(catalog, truth, predictor_options);
+  LatencyPredictor reference_predictor(catalog, truth, predictor_options);
+  if (!variant.pretrained) {
+    // Type 0 and 1 get a linear fit, type 2 a single batch size (the
+    // proportional fallback); type 3 keeps the 0.1 ms no-data prior.
+    for (LatencyPredictor* p : {&predictor, &reference_predictor}) {
+      p->Observe(0, 10, truth.LatencyMs(0, 10));
+      p->Observe(0, 500, truth.LatencyMs(0, 500));
+      p->Observe(1, 40, truth.LatencyMs(1, 40));
+      p->Observe(1, 900, truth.LatencyMs(1, 900));
+      p->Observe(2, 200, truth.LatencyMs(2, 200));
+    }
+    ASSERT_EQ(predictor.ObservationCount(3), 0u);
+  }
+  KairosPolicyOptions options;
+  options.use_heterogeneity_coefficient = variant.heterogeneity;
+  KairosPolicy policy(options);
+
+  const std::vector<std::vector<cloud::TypeId>> pools = {
+      {0, 1, 2, 3}, {0, 2}, {1, 3}, {3}};
+  Rng rng(41);
+  const auto pick = [&rng](std::size_t size) {
+    return static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<std::int64_t>(size) - 1));
+  };
+  Matrix reference_cost;
+  int rounds = 0;
+  for (const std::vector<cloud::TypeId>& pool : pools) {
+    for (int rep = 0; rep < 60; ++rep) {
+      const Time now = rng.Uniform(1.0, 100.0);
+      const double qos_sec = rng.Uniform(0.05, 0.3);
+      std::vector<InstanceView> instances(
+          static_cast<std::size_t>(rng.UniformInt(1, 48)));
+      for (InstanceView& inst : instances) {
+        inst.type = pool[pick(pool.size())];
+        // Idle, busy, or carrying a stale stamp that clamps to zero.
+        const double roll = rng.Uniform();
+        inst.available_at = roll < 0.3   ? now
+                            : roll < 0.4 ? now - rng.Uniform(0.0, 0.01)
+                                         : now + rng.Uniform(0.0, 0.08);
+        inst.idle = inst.available_at <= now;
+      }
+      std::vector<Query> waiting(
+          static_cast<std::size_t>(rng.UniformInt(0, 64)));
+      for (std::size_t i = 0; i < waiting.size(); ++i) {
+        const int batch = static_cast<int>(rng.UniformInt(1, 1000));
+        Time wait = rng.Uniform(0.0, qos_sec);
+        if (rng.Bernoulli(0.3)) {
+          // Park the query on the Eq. 8 boundary of one instance, so the
+          // penalty test's rounding decides that pair.
+          const InstanceView& inst = instances[pick(instances.size())];
+          const Time serve =
+              MsToSec(predictor.PredictMsNoiseless(inst.type, batch));
+          const Time l = std::max(0.0, inst.available_at - now) + serve;
+          wait = options.xi * qos_sec - l;
+        }
+        waiting[i] =
+            Query{static_cast<workload::QueryId>(i), batch, now - wait};
+      }
+      RoundContext ctx;
+      ctx.now = now;
+      ctx.qos_sec = qos_sec;
+      ctx.waiting = waiting;
+      ctx.instances = instances;
+      ctx.catalog = &catalog;
+      RoundContext reference_ctx = ctx;
+      ctx.predictor = &predictor;
+      reference_ctx.predictor = &reference_predictor;
+
+      const std::vector<Assignment> got = policy.Distribute(ctx);
+      const std::vector<Assignment> want =
+          ReferenceKairosRound(reference_ctx, options, reference_cost);
+      ASSERT_EQ(got.size(), want.size()) << variant.name << " round " << rounds;
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        ASSERT_EQ(got[k].waiting_idx, want[k].waiting_idx);
+        ASSERT_EQ(got[k].instance_idx, want[k].instance_idx);
+      }
+      if (!waiting.empty()) {
+        const Matrix& cost = policy.LastCostMatrix();
+        ASSERT_EQ(cost.rows(), reference_cost.rows());
+        ASSERT_EQ(cost.cols(), reference_cost.cols());
+        ASSERT_EQ(std::memcmp(cost.data().data(), reference_cost.data().data(),
+                              cost.data().size() * sizeof(double)),
+                  0)
+            << variant.name << " round " << rounds << ": cost bits differ";
+      }
+      ++rounds;
+    }
+  }
+  // Both noise streams advanced by the same number of draws.
+  EXPECT_EQ(predictor.PredictMs(0, 100), reference_predictor.PredictMs(0, 100));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Variants, KairosRoundEquivalence,
+    ::testing::Values(RoundVariant{"Pretrained", true, 0.0, true},
+                      RoundVariant{"NoHeterogeneity", true, 0.0, false},
+                      RoundVariant{"Noisy", true, 0.05, true},
+                      RoundVariant{"ColdTypes", false, 0.0, true},
+                      RoundVariant{"NoisyColdTypes", false, 0.05, true}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(RibbonPolicyTest, FcfsPrefersBaseOnIdlePool) {
   Fixture f;
