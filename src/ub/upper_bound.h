@@ -47,7 +47,9 @@ struct UpperBoundBreakdown {
   bool base_bottleneck = false;  ///< which Eq. 15 branch fired
 };
 
-/// Upper-bound estimator bound to one (catalog, model, QoS) context.
+/// Upper-bound estimator bound to one (catalog, model, QoS) context. The
+/// auxiliary types and their QoS-feasible batches are read at construction,
+/// so the catalog must not gain types while the estimator is in use.
 class UpperBoundEstimator {
  public:
   UpperBoundEstimator(const cloud::Catalog& catalog,
@@ -64,14 +66,35 @@ class UpperBoundEstimator {
   }
 
   /// Estimates for a whole candidate list (the warmup step the paper times
-  /// at "under 2 seconds for 1000 configurations").
+  /// at "under 2 seconds for 1000 configurations"). Each equals
+  /// QpsMax(config, monitor) bit for bit; the monitor is read once per
+  /// distinct s', not once per config.
   std::vector<double> EstimateAll(const std::vector<cloud::Config>& configs,
                                   const workload::QueryMonitor& monitor) const;
 
  private:
+  /// The monitor's statistics on either side of one region boundary s'.
+  struct Region;
+  using AuxRates = std::vector<std::pair<int, double>>;
+
+  /// Step 1: s' of `config`, the largest MaxQosBatch over the auxiliary
+  /// types it rents (0 when none). Throws on a config arity mismatch.
+  int RegionBoundary(const cloud::Config& config) const;
+  /// Step 2: the monitor's statistics at s'.
+  static Region ReadRegion(int s_prime, const workload::QueryMonitor& monitor);
+  /// Step 3: Eq. 12-15 for `config` in `region`. `aux` is scratch space.
+  UpperBoundBreakdown Bound(const cloud::Config& config, const Region& region,
+                            double mean_batch, AuxRates& aux) const;
+  /// MaxQosBatch of aux_types_[i]; throws std::out_of_range when the
+  /// latency model has no curve for that type.
+  int AuxMaxBatch(std::size_t i) const;
+
   const cloud::Catalog& catalog_;
   const latency::LatencyModel& truth_;
   double qos_ms_;
+  std::vector<cloud::TypeId> aux_types_;  ///< catalog order
+  /// MaxQosBatch per aux_types_ entry; -1 when the type has no curve.
+  std::vector<int> aux_max_batch_;
 };
 
 }  // namespace kairos::ub

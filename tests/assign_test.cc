@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 
@@ -287,6 +288,10 @@ struct CostFamily {
   const char* name;
   Matrix (*make)(std::size_t, std::size_t, Rng&);
 };
+
+// gtest puts the printed parameter into each test's name. Without this
+// it prints the two pointers' bytes, which differ on every run under ASLR.
+void PrintTo(const CostFamily& family, std::ostream* os) { *os << family.name; }
 
 class JvOracleRace : public ::testing::TestWithParam<CostFamily> {};
 

@@ -230,12 +230,16 @@ std::vector<Assignment> ReferenceKairosRound(const RoundContext& ctx,
   return out;
 }
 
+// gtest puts this struct's bytes into each test's name, so it holds no
+// pointer (ASLR moves it on every run) and no padding (left uninitialised).
 struct RoundVariant {
-  const char* name;
+  char name[22];
   bool pretrained;
-  double noise_sigma;
   bool heterogeneity;
+  double noise_sigma;
 };
+static_assert(sizeof(RoundVariant) ==
+              sizeof(char[22]) + 2 * sizeof(bool) + sizeof(double));
 
 class KairosRoundEquivalence : public ::testing::TestWithParam<RoundVariant> {
 };
@@ -348,11 +352,26 @@ TEST_P(KairosRoundEquivalence, SameAssignmentsAndCostBits) {
 
 INSTANTIATE_TEST_SUITE_P(
     Variants, KairosRoundEquivalence,
-    ::testing::Values(RoundVariant{"Pretrained", true, 0.0, true},
-                      RoundVariant{"NoHeterogeneity", true, 0.0, false},
-                      RoundVariant{"Noisy", true, 0.05, true},
-                      RoundVariant{"ColdTypes", false, 0.0, true},
-                      RoundVariant{"NoisyColdTypes", false, 0.05, true}),
+    ::testing::Values(RoundVariant{.name = "Pretrained",
+                                   .pretrained = true,
+                                   .heterogeneity = true,
+                                   .noise_sigma = 0.0},
+                      RoundVariant{.name = "NoHeterogeneity",
+                                   .pretrained = true,
+                                   .heterogeneity = false,
+                                   .noise_sigma = 0.0},
+                      RoundVariant{.name = "Noisy",
+                                   .pretrained = true,
+                                   .heterogeneity = true,
+                                   .noise_sigma = 0.05},
+                      RoundVariant{.name = "ColdTypes",
+                                   .pretrained = false,
+                                   .heterogeneity = true,
+                                   .noise_sigma = 0.0},
+                      RoundVariant{.name = "NoisyColdTypes",
+                                   .pretrained = false,
+                                   .heterogeneity = true,
+                                   .noise_sigma = 0.05}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST(RibbonPolicyTest, FcfsPrefersBaseOnIdlePool) {

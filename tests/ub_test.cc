@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "cloud/config_space.h"
+#include "common/rng.h"
 #include "core/kairos.h"
+#include "reference_ub.h"
 #include "serving/throughput_eval.h"
 #include "ub/selector.h"
 #include "ub/upper_bound.h"
@@ -130,6 +140,206 @@ TEST(UpperBoundEstimatorTest, InvalidInputsThrow) {
   const auto monitor =
       core::MonitorFromMix(workload::LogNormalBatches::Production(), 100, 3);
   EXPECT_THROW(est.Estimate(Config({1}), monitor), std::invalid_argument);
+}
+
+// --- Oracle race: the estimator reads the monitor once per region, the
+// reference (reference_ub.h) once per config. Every value must match bit
+// for bit. ---
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void ExpectSameBreakdown(const UpperBoundBreakdown& got,
+                         const UpperBoundBreakdown& want,
+                         const std::string& where) {
+  EXPECT_TRUE(SameBits(got.qps_max, want.qps_max))
+      << where << ": qps_max " << got.qps_max << " vs " << want.qps_max;
+  EXPECT_EQ(got.s_prime, want.s_prime) << where;
+  EXPECT_TRUE(SameBits(got.f_prime, want.f_prime)) << where << ": f_prime";
+  EXPECT_TRUE(SameBits(got.q_b, want.q_b)) << where << ": q_b";
+  EXPECT_TRUE(SameBits(got.q_b_splus, want.q_b_splus))
+      << where << ": q_b_splus";
+  EXPECT_TRUE(SameBits(got.aux_rate_sum, want.aux_rate_sum))
+      << where << ": aux_rate_sum";
+  EXPECT_TRUE(SameBits(got.c, want.c)) << where << ": c";
+  EXPECT_EQ(got.base_bottleneck, want.base_bottleneck) << where;
+}
+
+// Races EstimateAll and Estimate against the reference on every config.
+void RaceEstimator(const Catalog& catalog, const LatencyModel& truth,
+                   double qos_ms, const std::vector<Config>& configs,
+                   const workload::QueryMonitor& monitor,
+                   const std::string& where) {
+  const UpperBoundEstimator est(catalog, truth, qos_ms);
+  const std::vector<double> all = est.EstimateAll(configs, monitor);
+  ASSERT_EQ(all.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const std::string at = where + " " + configs[i].ToString();
+    const UpperBoundBreakdown want = reference::ReferenceEstimate(
+        catalog, truth, qos_ms, configs[i], monitor);
+    EXPECT_TRUE(SameBits(all[i], want.qps_max))
+        << at << ": EstimateAll " << all[i] << " vs " << want.qps_max;
+    ExpectSameBreakdown(est.Estimate(configs[i], monitor), want, at);
+  }
+}
+
+// A latency curve whose MaxQosBatch at qos_ms is exactly `s`: 0 means even
+// batch 1 misses QoS, kMaxBatchSize a curve clamped at the cap.
+latency::AffineLatency CurveWithBoundary(int s, double qos_ms, Rng& rng) {
+  const double budget = latency::kQosSafety * qos_ms;
+  if (s == 0) return {budget + rng.Uniform(1.0, 50.0), rng.Uniform(0.1, 1.0)};
+  if (s == latency::kMaxBatchSize) {
+    return {rng.Uniform(0.0, budget / 2),
+            budget / 2 / (latency::kMaxBatchSize * rng.Uniform(1.5, 4.0))};
+  }
+  // (budget - base_ms) / per_item_ms lands half-way between s and s + 1.
+  const double per_item = rng.Uniform(0.1, 1.0) * budget / (s + 0.5);
+  return {budget - per_item * (s + 0.5), per_item};
+}
+
+// Pools of 2-5 types with the base at a random index. Each auxiliary type
+// is infeasible (s' = 0), clamped at kMaxBatchSize, interior, or a
+// different curve sharing an earlier auxiliary type's s'.
+TEST(UpperBoundOracleRace, RandomPoolsMonitorsAndSpacesMatchBitwise) {
+  enum Kind { kInfeasible, kClamped, kInterior, kShared, kNumKinds };
+  std::array<int, kNumKinds> seen{};
+  Rng rng(2023);
+  for (int pool = 0; pool < 32; ++pool) {
+    const int n = static_cast<int>(rng.UniformInt(2, 5));
+    const auto base = static_cast<cloud::TypeId>(rng.UniformInt(0, n - 1));
+    const double qos_ms = rng.Uniform(50.0, 300.0);
+    Catalog catalog;
+    std::vector<latency::AffineLatency> curves;
+    std::vector<int> boundaries;  // s' of each auxiliary type
+    for (int t = 0; t < n; ++t) {
+      const bool is_base = static_cast<cloud::TypeId>(t) == base;
+      catalog.Add({"type" + std::to_string(t), "T" + std::to_string(t),
+                   cloud::InstanceClass::kGeneralPurposeCpu,
+                   is_base ? rng.Uniform(0.5, 1.2) : rng.Uniform(0.15, 0.6),
+                   is_base});
+      if (is_base) {
+        curves.push_back({rng.Uniform(1.0, 10.0), rng.Uniform(0.01, 0.05)});
+        continue;
+      }
+      int kind = static_cast<int>(rng.UniformInt(0, kNumKinds - 1));
+      if (kind == kShared && boundaries.empty()) kind = kInterior;
+      ++seen[kind];
+      const int s =
+          kind == kInfeasible ? 0
+          : kind == kClamped  ? latency::kMaxBatchSize
+          : kind == kInterior
+              ? static_cast<int>(rng.UniformInt(1, latency::kMaxBatchSize - 1))
+              : boundaries[static_cast<std::size_t>(rng.UniformInt(
+                    0, static_cast<std::int64_t>(boundaries.size()) - 1))];
+      curves.push_back(CurveWithBoundary(s, qos_ms, rng));
+      boundaries.push_back(s);
+    }
+    const LatencyModel truth(curves);
+    for (std::size_t i = 0; i < boundaries.size(); ++i) {
+      ASSERT_EQ(truth.MaxQosBatch(catalog.AuxiliaryTypes()[i], qos_ms),
+                boundaries[i]);
+    }
+
+    // The budgeted space with u = 0 allowed, plus configs beyond budget
+    // with no base, with no auxiliaries, and empty.
+    std::vector<Config> configs = cloud::EnumerateConfigs(
+        catalog,
+        {.budget_per_hour = rng.Uniform(2.0, 4.0), .min_base_instances = 0});
+    std::vector<int> no_base(n, 3), only_base(n, 0);
+    no_base[base] = 0;
+    only_base[base] = 7;
+    configs.emplace_back(no_base);
+    configs.emplace_back(only_base);
+    configs.emplace_back(std::vector<int>(n, 0));
+
+    std::vector<std::pair<std::string, workload::QueryMonitor>> monitors;
+    monitors.emplace_back("empty", workload::QueryMonitor(100));
+    monitors.emplace_back("single", workload::QueryMonitor(100));
+    monitors.back().second.Observe(
+        static_cast<int>(rng.UniformInt(1, latency::kMaxBatchSize)));
+    monitors.emplace_back("evicted", workload::QueryMonitor(64));
+    for (int i = 0; i < 500; ++i) {
+      monitors.back().second.Observe(
+          static_cast<int>(rng.UniformInt(1, latency::kMaxBatchSize)));
+    }
+    monitors.emplace_back(
+        "production",
+        core::MonitorFromMix(workload::LogNormalBatches::Production(), 3000,
+                             static_cast<std::uint64_t>(pool)));
+    for (const double alpha : {1.2, 2.5}) {
+      for (const double x_min : {1.0, 30.0}) {
+        workload::QueryMonitor mon(3000);
+        for (int i = 0; i < 3000; ++i) {
+          const double b = x_min * std::pow(1.0 - rng.Uniform(), -1.0 / alpha);
+          mon.Observe(static_cast<int>(std::min(b, 1e6)));
+        }
+        monitors.emplace_back("pareto" + std::to_string(alpha) + "/" +
+                                  std::to_string(x_min),
+                              std::move(mon));
+      }
+    }
+    for (const int s : boundaries) {
+      if (s >= 1) {
+        workload::QueryMonitor at_or_below(500);
+        for (int i = 0; i < 500; ++i) {
+          at_or_below.Observe(static_cast<int>(rng.UniformInt(1, s)));
+        }
+        monitors.emplace_back("all<=" + std::to_string(s),
+                              std::move(at_or_below));
+      }
+      if (s < latency::kMaxBatchSize) {
+        workload::QueryMonitor above(500);
+        for (int i = 0; i < 500; ++i) {
+          above.Observe(static_cast<int>(
+              rng.UniformInt(s + 1, latency::kMaxBatchSize)));
+        }
+        monitors.emplace_back("all>" + std::to_string(s), std::move(above));
+      }
+    }
+
+    for (const auto& [name, monitor] : monitors) {
+      RaceEstimator(catalog, truth, qos_ms, configs, monitor,
+                    "pool " + std::to_string(pool) + " " + name);
+    }
+
+    // Arity mismatches throw the same type from both, per config.
+    const UpperBoundEstimator est(catalog, truth, qos_ms);
+    const workload::QueryMonitor& monitor = monitors.back().second;
+    for (const int arity : {n - 1, n + 1}) {
+      const Config bad(std::vector<int>(static_cast<std::size_t>(arity), 1));
+      EXPECT_THROW(est.Estimate(bad, monitor), std::invalid_argument);
+      EXPECT_THROW(est.EstimateAll({configs.front(), bad}, monitor),
+                   std::invalid_argument);
+      EXPECT_THROW(
+          reference::ReferenceEstimate(catalog, truth, qos_ms, bad, monitor),
+          std::invalid_argument);
+    }
+  }
+  for (int kind = 0; kind < kNumKinds; ++kind) {
+    EXPECT_GT(seen[kind], 0) << "auxiliary kind " << kind << " never drawn";
+  }
+}
+
+// A catalog type the latency model has no curve for fails only the configs
+// that rent it, with the reference's exception type.
+TEST(UpperBoundOracleRace, TypeWithoutCurveFailsOnlyWhenRented) {
+  Catalog catalog = TinyCatalog();
+  catalog.Add({"uncalibrated", "U", cloud::InstanceClass::kGeneralPurposeCpu,
+               0.2, false});
+  const LatencyModel truth = TinyModel();
+  const auto monitor =
+      core::MonitorFromMix(workload::LogNormalBatches::Production(), 2000, 5);
+  RaceEstimator(catalog, truth, 150.0,
+                {Config({1, 0, 0}), Config({2, 3, 0}), Config({0, 4, 0})},
+                monitor, "unrented");
+
+  const UpperBoundEstimator est(catalog, truth, 150.0);
+  const Config rented({1, 1, 1});
+  EXPECT_THROW(est.Estimate(rented, monitor), std::out_of_range);
+  EXPECT_THROW(est.EstimateAll({Config({1, 0, 0}), rented}, monitor),
+               std::out_of_range);
+  EXPECT_THROW(
+      reference::ReferenceEstimate(catalog, truth, 150.0, rented, monitor),
+      std::out_of_range);
 }
 
 // Key paper invariant (Definition 2): the estimated bound dominates the

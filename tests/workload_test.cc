@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "common/stats.h"
 #include "latency/latency_model.h"
@@ -241,6 +242,52 @@ TEST(QueryMonitorTest, ResetClears) {
   mon.Reset();
   EXPECT_EQ(mon.Count(), 0u);
   EXPECT_DOUBLE_EQ(mon.MeanBatch(), 0.0);
+}
+
+// The region statistics the upper bound reads once per boundary s', at the
+// edges of the batch range: below 1 and above kMaxBatchSize clamp, so
+// s = -1 acts as 0 and s = kMaxBatchSize + 5 as kMaxBatchSize.
+TEST(QueryMonitorTest, RegionStatisticsAtBoundaries) {
+  constexpr int kMax = latency::kMaxBatchSize;
+  struct Expected {
+    int s;
+    double fraction, mean_at_or_below, mean_above;
+  };
+  // After eviction the window holds {1, 2, kMax - 1, kMax}; the evicted
+  // 500s must not count.
+  QueryMonitor mon(4);
+  for (int b : {500, 500, 1, 2, kMax - 1, kMax}) mon.Observe(b);
+  ASSERT_EQ(mon.Count(), 4u);
+  const std::vector<Expected> evicted = {
+      {-1, 0.0, 0.0, 500.5},
+      {0, 0.0, 0.0, 500.5},
+      {1, 0.25, 1.0, 667.0},
+      {kMax - 1, 0.75, 334.0, kMax},
+      {kMax, 1.0, 500.5, 0.0},
+      {kMax + 5, 1.0, 500.5, 0.0},
+  };
+  for (const Expected& e : evicted) {
+    EXPECT_DOUBLE_EQ(mon.FractionAtOrBelow(e.s), e.fraction) << e.s;
+    EXPECT_DOUBLE_EQ(mon.MeanBatchAtOrBelow(e.s), e.mean_at_or_below) << e.s;
+    EXPECT_DOUBLE_EQ(mon.MeanBatchAbove(e.s), e.mean_above) << e.s;
+  }
+
+  // An empty window and a reset one read zero at every boundary.
+  QueryMonitor empty(10);
+  mon.Reset();
+  for (const Expected& e : evicted) {
+    for (const QueryMonitor* m : {&empty, &mon}) {
+      EXPECT_DOUBLE_EQ(m->FractionAtOrBelow(e.s), 0.0) << e.s;
+      EXPECT_DOUBLE_EQ(m->MeanBatchAtOrBelow(e.s), 0.0) << e.s;
+      EXPECT_DOUBLE_EQ(m->MeanBatchAbove(e.s), 0.0) << e.s;
+    }
+  }
+  // Nothing from before the reset survives in the histogram.
+  mon.Observe(7);
+  EXPECT_DOUBLE_EQ(mon.FractionAtOrBelow(kMax - 1), 1.0);
+  EXPECT_DOUBLE_EQ(mon.MeanBatchAtOrBelow(kMax), 7.0);
+  EXPECT_DOUBLE_EQ(mon.MeanBatchAbove(0), 7.0);
+  EXPECT_DOUBLE_EQ(mon.MeanBatchAbove(7), 0.0);
 }
 
 TEST(QueryMonitorTest, TracksDistributionShift) {
