@@ -5,12 +5,9 @@
 //
 // Metrics:
 //   * sim_events_per_sec           — raw discrete-event loop throughput
-//                                    (calendar-queue backend)
-//   * sim_events_per_sec_heap      — same workload on the binary-heap
-//                                    oracle backend, raced side by side
-//   * eq_churn_{1k,100k,1m}[_heap]_events_per_sec — steady-state event-
-//                                    queue churn (fire one / schedule one)
-//                                    at a held occupancy, per backend
+//   * eq_churn_{1k,100k,1m}_events_per_sec — steady-state event-queue
+//                                    churn (fire one / schedule one) at a
+//                                    held occupancy
 //   * eval_trials_per_sec          — AllowableThroughput simulation trials/s
 //   * evals_per_sec_kairos_plus    — KAIROS+ planning, serial evaluation
 //   * evals_per_sec_kairos_plus_batched — same plan, batched eval frontier
@@ -37,11 +34,6 @@
 //                                    wall ratio; gated at <3% in sustained
 //                                    mode (the 10M-query contract)
 //
-// Every run also races the calendar queue against the heap oracle on a
-// randomized schedule/cancel/fire workload and FATALs on any divergence in
-// firing order, so perf numbers are only ever reported for a queue that is
-// bit-identical to the reference.
-//
 // The co-simulation runs also assert the sharding contract: every thread
 // count must reproduce the 1-thread totals bit for bit, or the bench exits
 // non-zero. The sustained run asserts the scale contract: every generated
@@ -60,7 +52,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -195,15 +186,13 @@ struct HopEvent {
 /// Raw event-loop throughput: several interleaved self-rescheduling chains
 /// (the shape of engine source pulls + completions), with a cancellation on
 /// every hop to exercise the free list. Best of three passes, because a
-/// sub-second wall on a shared machine swings far more than the queues
-/// differ. Runs on the given backend so the calendar queue and the heap
-/// oracle are reported side by side.
-Metric SimEventsPerSec(std::size_t total_events, sim::QueueBackend backend,
-                       const char* name) {
+/// sub-second wall on a shared machine swings far more than a queue change
+/// would.
+Metric SimEventsPerSec(std::size_t total_events) {
   constexpr std::size_t kChains = 16;
   double best = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
-    sim::Simulator sim(backend);
+    sim::Simulator sim;
     ChainBench chain{&sim, 0, total_events};
     const auto start = Clock::now();
     for (std::size_t c = 0; c < kChains; ++c) {
@@ -215,75 +204,13 @@ Metric SimEventsPerSec(std::size_t total_events, sim::QueueBackend backend,
     // Count the cancelled companions too: Schedule+Cancel is queue work.
     best = std::max(best, 2.0 * static_cast<double>(chain.fired) / wall);
   }
-  return {name, best, true};
-}
-
-/// Fired event that folds its tag into a running FNV hash — the firing
-/// *order* becomes the hash value.
-struct MarkEvent {
-  std::uint64_t* hash;
-  std::uint64_t tag;
-  void operator()() const {
-    *hash ^= tag;
-    *hash *= 1099511628211ull;
-  }
-};
-
-/// Hash of the complete firing order of a randomized schedule / cancel /
-/// fire workload on one backend. Identical seeds must hash identically on
-/// every backend (the bit-identical-ordering contract); Main races the
-/// calendar queue against the heap oracle and FATALs on divergence, so a
-/// perf number is only ever reported for a queue that still matches the
-/// reference.
-std::uint64_t FiringOrderFingerprint(sim::QueueBackend backend) {
-  sim::EventQueue queue(backend);
-  std::uint64_t hash = 1469598103934665603ull;
-  std::uint64_t lcg = 0x5DEECE66Dull;
-  const auto rnd = [&lcg] {
-    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-    return lcg >> 33;
-  };
-  std::vector<sim::EventId> live;
-  live.reserve(8192);
-  Time now = 0.0;
-  std::uint64_t tag = 0;
-  for (int i = 0; i < 50000; ++i) {
-    switch (rnd() % 4) {
-      case 0:
-      case 1: {  // schedule (twice as likely: the queue should stay busy)
-        const Time at = now + static_cast<double>(rnd() % 4096) * 0.001;
-        live.push_back(queue.Schedule(at, MarkEvent{&hash, ++tag}));
-        break;
-      }
-      case 2: {  // cancel a random handle (often already fired: no-op)
-        if (!live.empty()) queue.Cancel(live[rnd() % live.size()]);
-        break;
-      }
-      default: {  // fire the earliest
-        if (!queue.Empty()) {
-          now = queue.NextTime();
-          queue.RunNext();
-          hash ^= std::bit_cast<std::uint64_t>(now);
-          hash *= 1099511628211ull;
-        }
-        break;
-      }
-    }
-  }
-  while (!queue.Empty()) {
-    now = queue.NextTime();
-    queue.RunNext();
-    hash ^= std::bit_cast<std::uint64_t>(now);
-    hash *= 1099511628211ull;
-  }
-  return hash;
+  return {"sim_events_per_sec", best, true};
 }
 
 /// Steady-state event-queue churn at a held occupancy: `pending` events in
-/// flight, then fire-one / schedule-one for a fixed op count. This is the
-/// regime the calendar queue exists for — occupancy-independent cost where
-/// the heap pays log(pending) per op — measured at three occupancies on
-/// both backends.
+/// flight, then fire-one / schedule-one for a fixed op count, measured at
+/// three occupancies. The heap pays log(pending) per op, so the three
+/// numbers trace the queue's cost curve, not just one point on it.
 std::vector<Metric> EventQueueChurn(bool tiny) {
   struct Case {
     const char* label;
@@ -293,35 +220,29 @@ std::vector<Metric> EventQueueChurn(bool tiny) {
   std::vector<Metric> metrics;
   for (const Case& c : kCases) {
     const std::size_t ops = tiny ? 200000 : 1000000;
-    for (const sim::QueueBackend backend :
-         {sim::QueueBackend::kCalendar, sim::QueueBackend::kHeap}) {
-      double best = 0.0;
-      for (int rep = 0; rep < 2; ++rep) {
-        sim::EventQueue queue(backend);
-        std::uint64_t lcg = 0x9E3779B97F4A7C15ull;
-        const auto u01 = [&lcg] {
-          lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-          return static_cast<double>(lcg >> 11) * 0x1.0p-53;
-        };
-        const double horizon = static_cast<double>(c.pending);
-        for (std::size_t i = 0; i < c.pending; ++i) {
-          queue.Schedule(u01() * horizon, NoopEvent{});
-        }
-        const auto start = Clock::now();
-        for (std::size_t i = 0; i < ops; ++i) {
-          const Time fired_at = queue.RunNext();
-          queue.Schedule(fired_at + horizon * (0.5 + 0.5 * u01()),
-                         NoopEvent{});
-        }
-        const double wall = SecondsSince(start);
-        best = std::max(best, 2.0 * static_cast<double>(ops) / wall);
+    double best = 0.0;
+    for (int rep = 0; rep < 2; ++rep) {
+      sim::EventQueue queue;
+      std::uint64_t lcg = 0x9E3779B97F4A7C15ull;
+      const auto u01 = [&lcg] {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<double>(lcg >> 11) * 0x1.0p-53;
+      };
+      const double horizon = static_cast<double>(c.pending);
+      for (std::size_t i = 0; i < c.pending; ++i) {
+        queue.Schedule(u01() * horizon, NoopEvent{});
       }
-      metrics.push_back(
-          {std::string("eq_churn_") + c.label +
-               (backend == sim::QueueBackend::kHeap ? "_heap" : "") +
-               "_events_per_sec",
-           best, true});
+      const auto start = Clock::now();
+      for (std::size_t i = 0; i < ops; ++i) {
+        const Time fired_at = queue.RunNext();
+        queue.Schedule(fired_at + horizon * (0.5 + 0.5 * u01()),
+                       NoopEvent{});
+      }
+      const double wall = SecondsSince(start);
+      best = std::max(best, 2.0 * static_cast<double>(ops) / wall);
     }
+    metrics.push_back(
+        {std::string("eq_churn_") + c.label + "_events_per_sec", best, true});
   }
   return metrics;
 }
@@ -760,26 +681,7 @@ int Main(int argc, char** argv) {
   std::cout << "perf_suite (" << mode << ") on "
             << std::thread::hardware_concurrency() << " hardware threads\n";
 
-  // Determinism race first: no perf number is worth reporting from a
-  // calendar queue that stopped matching the heap oracle's firing order.
-  {
-    const std::uint64_t wheel =
-        FiringOrderFingerprint(sim::QueueBackend::kCalendar);
-    const std::uint64_t heap =
-        FiringOrderFingerprint(sim::QueueBackend::kHeap);
-    if (wheel != heap) {
-      std::cerr << "FATAL: calendar-queue firing order diverged from the "
-                   "heap oracle (fingerprints "
-                << wheel << " vs " << heap << ")\n";
-      return 1;
-    }
-  }
-
-  const std::size_t sim_events = tiny ? 200000 : 2000000;
-  metrics.push_back(SimEventsPerSec(sim_events, sim::QueueBackend::kCalendar,
-                                    "sim_events_per_sec"));
-  metrics.push_back(SimEventsPerSec(sim_events, sim::QueueBackend::kHeap,
-                                    "sim_events_per_sec_heap"));
+  metrics.push_back(SimEventsPerSec(tiny ? 200000 : 2000000));
   metrics.push_back(EvalTrialsPerSec(tiny ? 150 : 600, tiny ? 3 : 8));
   for (Metric& m : PlannerEvalsPerSec(tiny ? 150 : 500, tiny ? 8 : 24)) {
     metrics.push_back(std::move(m));

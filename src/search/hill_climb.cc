@@ -1,5 +1,6 @@
 #include "search/hill_climb.h"
 
+#include <limits>
 #include <map>
 #include <stdexcept>
 
@@ -22,11 +23,14 @@ HillClimbResult HillClimb(const std::vector<int>& grid,
     return v;
   };
 
+  // A missing neighbour never beats `here`, so the climb cannot step off
+  // either edge of the grid, whatever the sign of the objective.
+  constexpr double kNoNeighbour = -std::numeric_limits<double>::infinity();
   std::size_t pos = grid.size() / 2;
   double here = probe(pos);
   while (true) {
-    double left = pos > 0 ? probe(pos - 1) : -1.0;
-    double right = pos + 1 < grid.size() ? probe(pos + 1) : -1.0;
+    const double left = pos > 0 ? probe(pos - 1) : kNoNeighbour;
+    const double right = pos + 1 < grid.size() ? probe(pos + 1) : kNoNeighbour;
     if (left > here && left >= right) {
       --pos;
       here = left;

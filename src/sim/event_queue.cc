@@ -1,11 +1,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
-#include <cmath>
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 
 namespace kairos::sim {
@@ -13,41 +9,7 @@ namespace {
 
 constexpr std::uint64_t kSlotMask = 0xffffffffull;
 
-/// Calendar sizing: the wheel re-fits itself between these bounds. The
-/// floor keeps the empty-bucket scan trivially cheap at low occupancy;
-/// the cap bounds ring memory (1M buckets ≈ 24 MB of empty vectors) while
-/// still keeping ~10 events per bucket at the 10M-pending extreme.
-constexpr std::size_t kMinBuckets = 64;
-constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
-
-QueueBackend& DefaultBackendRef() {
-  static QueueBackend backend = [] {
-    if (const char* env = std::getenv("KAIROS_EVENT_QUEUE")) {
-      const std::string_view v(env);
-      if (v == "heap") return QueueBackend::kHeap;
-      if (v == "calendar" || v == "wheel") return QueueBackend::kCalendar;
-    }
-    return QueueBackend::kCalendar;
-  }();
-  return backend;
-}
-
 }  // namespace
-
-QueueBackend DefaultQueueBackend() { return DefaultBackendRef(); }
-
-void SetDefaultQueueBackend(QueueBackend backend) {
-  DefaultBackendRef() = backend;
-}
-
-EventQueue::EventQueue(QueueBackend backend) : backend_(backend) {
-  if (backend_ == QueueBackend::kCalendar) {
-    bucket_count_ = kMinBuckets;
-    buckets_.assign(kMinBuckets, {});
-    bucket_bits_.assign(kMinBuckets / 64, 0);
-    RefreshBounds();
-  }
-}
 
 EventId EventQueue::Schedule(Time at, EventFn fn) {
   std::uint32_t slot;
@@ -67,31 +29,9 @@ EventId EventQueue::Schedule(Time at, EventFn fn) {
   }
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
-  const Entry e{at, next_seq_++, slot, s.generation};
-  if (backend_ == QueueBackend::kHeap) {
-    heap_.push_back(e);
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-  } else {
-    if (live_ == 0) {
-      // Nothing live anywhere: discard stale leftovers wholesale and
-      // rebase the wheel so bucket 0 starts exactly at this event.
-      cur_.clear();
-      cur_pos_ = 0;
-      for (auto& b : buckets_) b.clear();
-      std::fill(bucket_bits_.begin(), bucket_bits_.end(), 0);
-      overflow_.clear();
-      wheel_entries_ = 0;
-      origin_ = at;
-      tick_ = 0;
-      RefreshBounds();
-    }
-    RouteEntry(e, /*batch=*/false);
-  }
+  heap_.push_back(Entry{at, next_seq_++, slot, s.generation});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_;
-  if (backend_ == QueueBackend::kCalendar && live_ > 4 * bucket_count_ &&
-      bucket_count_ < kMaxBuckets) {
-    Rebuild(bucket_count_ * 2);
-  }
   return (static_cast<EventId>(s.generation) << 32) | slot;
 }
 
@@ -111,20 +51,14 @@ bool EventQueue::Cancel(EventId id) {
   if (slot >= slots_.size() || slots_[slot].generation != generation) {
     return false;  // already fired, already cancelled, or slot recycled
   }
-  // The queued entry normally stays behind, discarded lazily by
-  // generation mismatch once it surfaces — but the common
-  // schedule-then-cancel pattern (watchdogs, speculative timers) leaves
-  // the entry at the tail of whatever container it just landed in, where
-  // removing it outright is O(1) and order-neutral.
-  if (backend_ == QueueBackend::kHeap) {
-    if (!heap_.empty() && heap_.back().slot == slot &&
-        heap_.back().generation == generation) {
-      // A just-pushed far-future entry does not sift up, so it is still
-      // the array tail; dropping the tail keeps the heap valid.
-      heap_.pop_back();
-    }
-  } else {
-    TryEraseRoutedTail(slot, generation);
+  // The heap entry normally stays behind, discarded lazily by generation
+  // mismatch once it surfaces. But the common schedule-then-cancel
+  // pattern (watchdogs, speculative timers) pushes a far-future entry
+  // that does not sift up, so it is still the array tail: dropping the
+  // tail is O(1) and keeps the heap valid.
+  if (!heap_.empty() && heap_.back().slot == slot &&
+      heap_.back().generation == generation) {
+    heap_.pop_back();
   }
   Release(slot);
   assert(live_ > 0);
@@ -132,272 +66,24 @@ bool EventQueue::Cancel(EventId id) {
   return true;
 }
 
-void EventQueue::TryEraseRoutedTail(std::uint32_t slot,
-                                    std::uint32_t generation) {
-  if (last_routed_ == kRoutedOverflow) {
-    if (!overflow_.empty() && overflow_.back().slot == slot &&
-        overflow_.back().generation == generation) {
-      overflow_.pop_back();
-    }
-    return;
-  }
-  std::vector<Entry>* v = nullptr;
-  if (last_routed_ == kRoutedCur) {
-    // Only a tail beyond the drain position is safely poppable.
-    if (cur_pos_ < cur_.size()) v = &cur_;
-  } else if (last_routed_ < bucket_count_) {
-    v = &buckets_[last_routed_];
-  }
-  if (v != nullptr && !v->empty() && v->back().slot == slot &&
-      v->back().generation == generation) {
-    v->pop_back();
-    --wheel_entries_;
-    if (v->empty() && last_routed_ < bucket_count_) {
-      ClearOccupied(last_routed_);
-    }
-  }
-}
-
-void EventQueue::DropStaleHeapHead() const {
-  while (!heap_.empty() && IsStale(heap_.front())) {
+void EventQueue::DropStaleHead() const {
+  while (!heap_.empty() &&
+         slots_[heap_.front().slot].generation != heap_.front().generation) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
   }
 }
 
-void EventQueue::SortEntries(std::vector<Entry>& v) {
-  const std::size_t n = v.size();
-  if (n < 2) return;
-  if (n <= 24) {
-    for (std::size_t i = 1; i < n; ++i) {
-      const Entry e = v[i];
-      std::size_t j = i;
-      while (j > 0 && Earlier{}(e, v[j - 1])) {
-        v[j] = v[j - 1];
-        --j;
-      }
-      v[j] = e;
-    }
-    return;
-  }
-  std::sort(v.begin(), v.end(), Earlier{});
-}
-
-void EventQueue::RouteEntry(const Entry& e, bool batch) {
-  // Horizon test first: kTimeInfinity (and anything far out) must never
-  // reach the division below.
-  if (e.at >= horizon_) {
-    OverflowPush(e);
-    return;
-  }
-  std::uint64_t k = tick_;
-  if (e.at >= cur_end_) {
-    // Multiply by the cached reciprocal: only a guess — the exact-compare
-    // loops below pin the canonical bucket, so the rounding difference vs
-    // a true division never changes where an event lands.
-    k = tick_ + 1 + static_cast<std::uint64_t>((e.at - cur_end_) * inv_width_);
-    if (k >= tick_ + bucket_count_) k = tick_ + bucket_count_ - 1;
-    // The division is a guess; pin k to the canonical bucket satisfying
-    // Boundary(k) <= at < Boundary(k + 1) with exact comparisons, so the
-    // at -> bucket mapping is a pure monotone function of the timestamp.
-    while (k > tick_ && Boundary(k) > e.at) --k;
-    while (k + 1 < tick_ + bucket_count_ && Boundary(k + 1) <= e.at) ++k;
-  }
-  ++wheel_entries_;
-  if (k == tick_) {
-    last_routed_ = kRoutedCur;
-    if (batch) {
-      cur_.push_back(e);
-    } else {
-      // seq is globally monotone, so among equal timestamps the new entry
-      // lands after every existing one: FIFO tie-break preserved.
-      const auto it =
-          std::upper_bound(cur_.begin() + static_cast<std::ptrdiff_t>(cur_pos_),
-                           cur_.end(), e, Earlier{});
-      cur_.insert(it, e);
-    }
-    return;
-  }
-  last_routed_ = k & (bucket_count_ - 1);
-  buckets_[last_routed_].push_back(e);
-  MarkOccupied(last_routed_);
-}
-
-void EventQueue::OverflowPush(const Entry& e) {
-  last_routed_ = kRoutedOverflow;
-  overflow_.push_back(e);
-  std::push_heap(overflow_.begin(), overflow_.end(), Later{});
-}
-
-EventQueue::Entry EventQueue::OverflowPop() {
-  std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-  const Entry e = overflow_.back();
-  overflow_.pop_back();
-  return e;
-}
-
-void EventQueue::MigrateOverflow() {
-  while (!overflow_.empty() && overflow_.front().at < horizon_) {
-    const Entry e = OverflowPop();
-    if (IsStale(e)) continue;
-    RouteEntry(e, /*batch=*/false);
-  }
-}
-
-void EventQueue::Rebuild(std::size_t new_count) {
-  std::vector<Entry>& all = rebuild_scratch_;
-  all.clear();
-  for (std::size_t i = cur_pos_; i < cur_.size(); ++i) {
-    if (!IsStale(cur_[i])) all.push_back(cur_[i]);
-  }
-  for (const auto& b : buckets_) {
-    for (const Entry& e : b) {
-      if (!IsStale(e)) all.push_back(e);
-    }
-  }
-  for (const Entry& e : overflow_) {
-    if (!IsStale(e)) all.push_back(e);
-  }
-
-  cur_.clear();
-  cur_pos_ = 0;
-  overflow_.clear();
-  wheel_entries_ = 0;
-  bucket_count_ = new_count;
-  buckets_.assign(new_count, {});
-  bucket_bits_.assign(std::max<std::size_t>(new_count / 64, 1), 0);
-  tick_ = 0;
-  RefreshBounds();
-  if (all.empty()) return;
-
-  std::sort(all.begin(), all.end(), Earlier{});
-  origin_ = all.front().at;
-
-  // Re-fit the bucket width from the interquartile mean gap of the live
-  // distribution: robust against far-future outliers (watchdogs at
-  // kTimeInfinity-scale times would otherwise blow the width up and fold
-  // the whole working set into one bucket). Floors keep boundaries
-  // strictly increasing in floating point so routing always terminates.
-  Time width = 0.0;
-  const std::size_t n = all.size();
-  if (n >= 2) {
-    std::size_t lo = n / 4;
-    std::size_t hi = (3 * n) / 4;
-    if (hi <= lo) {
-      lo = 0;
-      hi = n - 1;
-    }
-    width = 4.0 * (all[hi].at - all[lo].at) / static_cast<Time>(hi - lo);
-  }
-  SetWidth(std::max({width, std::abs(origin_) * 1e-9, 1e-12}));
-  RefreshBounds();
-
-  for (const Entry& e : all) RouteEntry(e, /*batch=*/true);
-  SortEntries(cur_);
-  all.clear();
-}
-
-bool EventQueue::AdvanceToNextLiveSlow() {
-  for (;;) {
-    while (cur_pos_ < cur_.size()) {
-      if (!IsStale(cur_[cur_pos_])) return true;
-      ++cur_pos_;
-      --wheel_entries_;
-    }
-    cur_.clear();
-    cur_pos_ = 0;
-    if (live_ == 0) return false;
-
-    if (wheel_entries_ == 0) {
-      // Every live event sits past the horizon: rebase the wheel at the
-      // overflow minimum instead of ticking through empty buckets. This is
-      // also the moment a mis-fitted width surfaces (a low-occupancy queue
-      // never crosses the resize thresholds, so Rebuild alone would never
-      // re-fit it) — so re-fit here.
-      while (!overflow_.empty() && IsStale(overflow_.front())) OverflowPop();
-      if (overflow_.empty()) return false;  // unreachable while live_ > 0
-      if (overflow_.size() <= 4 * bucket_count_) {
-        // Cheap at this size: full rebuild re-samples the width from the
-        // live spacing and spreads everything across the ring.
-        Rebuild(bucket_count_);
-      } else {
-        // Too much overflow to re-sort on every rebase; take the leading
-        // gap off the heap top as the width hint and let migration pull
-        // the near end onto the wheel.
-        const Time top = overflow_.front().at;
-        Time second = kTimeInfinity;
-        if (overflow_.size() > 1) second = overflow_[1].at;
-        if (overflow_.size() > 2) second = std::min(second, overflow_[2].at);
-        if (second > top && second < kTimeInfinity) {
-          SetWidth(std::max({4.0 * (second - top), std::abs(top) * 1e-9,
-                             1e-12}));
-        }
-        origin_ = top;
-        tick_ = 0;
-        RefreshBounds();
-        // Bucket 0 now starts at the overflow minimum, so at least one
-        // entry migrates onto the wheel; pops arrive in (at, seq) order,
-        // so the non-batch cur_ inserts all append at the tail.
-        MigrateOverflow();
-      }
-      continue;
-    }
-
-    // Turn the wheel straight to the next occupied bucket (one bitmap
-    // word-scan), then refresh bounds and migrate overflow once. Skipping
-    // the per-tick work is safe because every wheel entry fires before
-    // every overflow entry (wheel times < horizon_ <= overflow times), so
-    // nothing in overflow can preempt the bucket the scan lands on — and
-    // entries migrating after the jump land strictly after the current
-    // bucket (their times are >= the pre-jump horizon).
-    const std::size_t mask = bucket_count_ - 1;
-    const std::size_t start = (tick_ + 1) & mask;
-    const std::size_t idx = NextOccupied(start);
-    if (idx >= bucket_count_) {
-      // Unreachable while wheel_entries_ > 0; treat as an empty wheel so
-      // the rebase path re-derives state instead of spinning.
-      assert(idx < bucket_count_);
-      wheel_entries_ = 0;
-      continue;
-    }
-    tick_ += 1 + ((idx - start) & mask);
-    RefreshBounds();
-    std::vector<Entry>& b = buckets_[idx];
-    cur_.swap(b);
-    ClearOccupied(idx);
-    SortEntries(cur_);
-    if (!overflow_.empty()) MigrateOverflow();
-  }
-}
-
-std::size_t EventQueue::NextOccupied(std::size_t start) const {
-  const std::size_t nwords = bucket_bits_.size();
-  std::size_t w = start >> 6;
-  std::uint64_t word =
-      bucket_bits_[w] & (~std::uint64_t{0} << (start & 63));
-  // <= nwords iterations: the first (masked) word is re-scanned unmasked
-  // at the end, covering bits cyclically before `start`.
-  for (std::size_t scanned = 0; scanned <= nwords; ++scanned) {
-    if (word != 0) {
-      return (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-    }
-    w = w + 1 == nwords ? 0 : w + 1;
-    word = bucket_bits_[w];
-  }
-  return bucket_count_;
+EventQueue::Entry EventQueue::PopHead() {
+  const Entry entry = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  heap_.pop_back();
+  return entry;
 }
 
 Time EventQueue::NextTime() const {
-  if (backend_ == QueueBackend::kHeap) {
-    DropStaleHeapHead();
-    return heap_.empty() ? kTimeInfinity : heap_.front().at;
-  }
-  // Turning the wheel only reorders internal storage — the observable
-  // event sequence is unchanged — so this mirrors the heap's mutable
-  // lazy stale-drop.
-  auto* self = const_cast<EventQueue*>(this);
-  if (!self->AdvanceToNextLive()) return kTimeInfinity;
-  return cur_[cur_pos_].at;
+  DropStaleHead();
+  return heap_.empty() ? kTimeInfinity : heap_.front().at;
 }
 
 void EventQueue::FireEntry(const Entry& entry) {
@@ -406,45 +92,21 @@ void EventQueue::FireEntry(const Entry& entry) {
   // this very slot back under a fresh generation.
   Release(entry.slot);
   --live_;
-  if (backend_ == QueueBackend::kCalendar && bucket_count_ > kMinBuckets &&
-      live_ < bucket_count_ / 8) {
-    Rebuild(bucket_count_ / 2);
-  }
   fn();
 }
 
 Time EventQueue::RunNext() {
-  Entry entry;
-  if (backend_ == QueueBackend::kHeap) {
-    DropStaleHeapHead();
-    assert(!heap_.empty());
-    entry = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-  } else {
-    const bool have = AdvanceToNextLive();
-    assert(have);
-    (void)have;
-    entry = cur_[cur_pos_++];
-    --wheel_entries_;
-  }
+  DropStaleHead();
+  assert(!heap_.empty());
+  const Entry entry = PopHead();
   FireEntry(entry);
   return entry.at;
 }
 
 bool EventQueue::RunNextAtMost(Time until, Time* at) {
-  Entry entry;
-  if (backend_ == QueueBackend::kHeap) {
-    DropStaleHeapHead();
-    if (heap_.empty() || heap_.front().at > until) return false;
-    entry = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-  } else {
-    if (!AdvanceToNextLive() || cur_[cur_pos_].at > until) return false;
-    entry = cur_[cur_pos_++];
-    --wheel_entries_;
-  }
+  DropStaleHead();
+  if (heap_.empty() || heap_.front().at > until) return false;
+  const Entry entry = PopHead();
   *at = entry.at;  // before the callback so a driver clock can alias it
   FireEntry(entry);
   return true;

@@ -1,27 +1,17 @@
-// Priority event queue for the discrete-event simulator. Ties in time break
-// by insertion sequence so replays are fully deterministic. Fired and
+// Priority event queue for the discrete-event simulator: a binary min-heap
+// of (at, seq) entries over a slab of callback slots. Ties in time break
+// by insertion sequence, so replays are fully deterministic. Fired and
 // cancelled events return their slots to a free list, so memory is bounded
 // by the number of *concurrently* pending events — long streaming runs
-// (serving::Engine sources re-scheduling forever) no longer grow without
+// (serving::Engine sources re-scheduling forever) do not grow without
 // bound.
 //
-// Two interchangeable backends sit behind one API:
-//
-//  - kCalendar (default): a calendar queue / single-level timing wheel.
-//    Near-future events land in width-sized buckets indexed by an integer
-//    tick; the current bucket is drained from a sorted vector; events past
-//    the horizon wait in a min-heap overflow lane and migrate onto the
-//    wheel as it turns. Schedule and RunNext are O(1) amortized at steady
-//    state, with bucket count and width re-fitted from the live-event
-//    distribution when occupancy drifts.
-//  - kHeap: the original binary heap, kept as the correctness oracle.
-//
-// Determinism contract: both backends fire events in exactly (at, seq)
-// order — seq is the global schedule counter, so equal timestamps fire
-// FIFO — and both recycle slots at the same points, so EventIds, firing
-// order and SlotCount() are bit-identical across backends for identical
-// Schedule/Cancel/RunNext sequences. tests/event_queue_property_test.cc
-// pins this with randomized interleavings.
+// Determinism contract: events fire in exactly (at, seq) order — seq is
+// the global schedule counter, so equal timestamps fire FIFO — and slots
+// are recycled at fixed points (on fire and on cancel), so EventIds and
+// SlotCount() are a pure function of the Schedule/Cancel/RunNext
+// sequence. tests/event_queue_property_test.cc pins this against the
+// naive model in tests/reference_event_queue.h.
 #pragma once
 
 #include <cstddef>
@@ -148,30 +138,10 @@ class EventFn {
 /// was recycled for a newer event — is a guaranteed no-op.
 using EventId = std::uint64_t;
 
-/// Event-queue implementation choice. kCalendar is the production default;
-/// kHeap is the reference oracle raced against it in tests and perf_suite.
-enum class QueueBackend {
-  kCalendar,
-  kHeap,
-};
-
-/// Backend used by default-constructed queues (and thus Simulators).
-/// Initialized from the KAIROS_EVENT_QUEUE environment variable
-/// ("calendar"/"wheel" or "heap") when set, else kCalendar.
-QueueBackend DefaultQueueBackend();
-
-/// Overrides the process-wide default backend (tests use this to race the
-/// whole fleet co-simulation against the heap oracle).
-void SetDefaultQueueBackend(QueueBackend backend);
-
-/// Timestamped event queue with stable FIFO tie-breaks, O(1) amortized
-/// scheduling (calendar backend), lazy cancellation and free-list slot
-/// reuse.
+/// Timestamped event queue with stable FIFO tie-breaks, O(log n)
+/// scheduling and firing, lazy cancellation and free-list slot reuse.
 class EventQueue {
  public:
-  EventQueue() : EventQueue(DefaultQueueBackend()) {}
-  explicit EventQueue(QueueBackend backend);
-
   /// Schedules `fn` at absolute time `at`. Returns a cancellation handle.
   EventId Schedule(Time at, EventFn fn);
 
@@ -191,9 +161,6 @@ class EventQueue {
   /// *concurrently* scheduled events, not of events ever scheduled.
   /// Bounded under steady-state churn (see sim_test's free-list case).
   std::size_t SlotCount() const { return slots_.size(); }
-
-  /// Backend this queue was constructed with.
-  QueueBackend backend() const { return backend_; }
 
   /// Time of the next live event; kTimeInfinity when empty.
   Time NextTime() const;
@@ -219,14 +186,7 @@ class EventQueue {
     std::uint32_t slot;
     std::uint32_t generation;
   };
-  /// (at, seq) lexicographic "fires earlier" order.
-  struct Earlier {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at < b.at;
-      return a.seq < b.seq;
-    }
-  };
-  /// Heap comparator: top() is the earliest entry.
+  /// Heap comparator: front() is the earliest entry in (at, seq) order.
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.at != b.at) return a.at > b.at;
@@ -234,22 +194,13 @@ class EventQueue {
     }
   };
 
-  bool IsStale(const Entry& e) const {
-    return slots_[e.slot].generation != e.generation;
-  }
+  /// Pops heap entries whose slot was already released (cancelled events,
+  /// detected by generation mismatch). Mutates only the mutable heap, so
+  /// NextTime() stays const.
+  void DropStaleHead() const;
 
-  /// Where the most recent RouteEntry filed its entry: a ring index, or
-  /// one of the sentinels below. Lets Cancel-right-after-Schedule (the
-  /// doomed-timer pattern) remove the entry from its container tail
-  /// instead of leaving a stale record for the drain scan.
-  static constexpr std::size_t kRoutedCur = ~std::size_t{0};
-  static constexpr std::size_t kRoutedOverflow = ~std::size_t{0} - 1;
-
-  /// Pops the entry identified by (slot, generation) if it still sits at
-  /// the tail of the container it was last routed to. Tail removal never
-  /// reorders anything, and a cancelled entry is invisible either way —
-  /// this is purely an allocation/scan saving.
-  void TryEraseRoutedTail(std::uint32_t slot, std::uint32_t generation);
+  /// Removes and returns the heap's front entry.
+  Entry PopHead();
 
   /// Fires `entry` after recycling its slot; shared by RunNext and
   /// RunNextAtMost.
@@ -258,124 +209,12 @@ class EventQueue {
   /// Recycles a slot: frees the callback, invalidates outstanding ids.
   void Release(std::uint32_t slot);
 
-  // --- heap backend ---------------------------------------------------
-  /// Pops heap entries whose slot was already released (cancelled events,
-  /// detected by generation mismatch).
-  void DropStaleHeapHead() const;
-
-  // --- calendar backend -----------------------------------------------
-  /// Canonical boundary of absolute bucket `k`: origin_ + k * width_.
-  /// Always computed by multiplication (never accumulated) so the bucket
-  /// an event maps to is a pure monotone function of its timestamp —
-  /// the property that makes wheel firing order bit-identical to the
-  /// heap's (at, seq) order.
-  Time Boundary(std::uint64_t k) const {
-    return origin_ + static_cast<Time>(k) * width_;
-  }
-
-  /// Re-derives the cached bucket bounds from (origin_, tick_, width_,
-  /// bucket_count_). Always assigned from Boundary() so cached values are
-  /// bit-identical to the canonical expressions.
-  void RefreshBounds() {
-    cur_end_ = Boundary(tick_ + 1);
-    horizon_ = Boundary(tick_ + bucket_count_);
-  }
-
-  /// Call after assigning width_: caches the reciprocal used by the
-  /// routing guess (kept out of RefreshBounds — a divide per tick would
-  /// dominate the advance loop).
-  void SetWidth(Time w) {
-    width_ = w;
-    inv_width_ = 1.0 / w;
-  }
-
-  /// Sorts entries by (at, seq); insertion sort below the introsort
-  /// crossover since bucket loads are typically a handful of entries.
-  static void SortEntries(std::vector<Entry>& v);
-
-  /// Index of the first non-empty bucket at or cyclically after `start`
-  /// (a bucket index, not a tick); bucket_count_ when every bucket is
-  /// empty. Purely a bitmap scan.
-  std::size_t NextOccupied(std::size_t start) const;
-
-  /// Sets / clears `idx`'s occupancy bit.
-  void MarkOccupied(std::size_t idx) {
-    bucket_bits_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-  }
-  void ClearOccupied(std::size_t idx) {
-    bucket_bits_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-  }
-
-  /// Files `e` into the current bucket, a future bucket, or overflow.
-  /// With `batch` set the current-bucket path appends unsorted (callers
-  /// sort cur_ once afterwards); otherwise it keeps cur_ sorted.
-  void RouteEntry(const Entry& e, bool batch);
-
-  /// Moves overflow entries that fell below the wheel horizon onto the
-  /// wheel. Called after every tick advance and rebase.
-  void MigrateOverflow();
-
-  /// Pushes/pops on the overflow min-heap (vector + std::*_heap so the
-  /// rebuild path can drain it without O(n log n) pops).
-  void OverflowPush(const Entry& e);
-  Entry OverflowPop();
-
-  /// Re-fits the wheel: collects all live entries, re-samples the bucket
-  /// width from their spacing (interquartile mean gap — robust against
-  /// far-future outliers), rebases the origin at the earliest event and
-  /// re-routes everything into `new_count` buckets. O(n log n), amortized
-  /// against the ≥ n/2 operations between occupancy-threshold crossings.
-  void Rebuild(std::size_t new_count);
-
-  /// Ensures cur_[cur_pos_] is the globally next live event: drops stale
-  /// entries, turns the wheel, migrates overflow, and rebases onto the
-  /// overflow lane when the wheel goes empty. Returns false only when no
-  /// live event exists. The all-hot common case — a live entry already at
-  /// the drain position — stays inline; everything else is the slow path.
-  bool AdvanceToNextLive() {
-    if (cur_pos_ < cur_.size()) {
-      const Entry& e = cur_[cur_pos_];
-      if (slots_[e.slot].generation == e.generation) return true;
-    }
-    return AdvanceToNextLiveSlow();
-  }
-  bool AdvanceToNextLiveSlow();
-
-  QueueBackend backend_;
-
-  // Shared slot store: identical across backends for identical op
-  // sequences, which is what makes EventIds and SlotCount() comparable.
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  ///< recycled slot indices
   std::uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
-
-  // Heap backend state.
+  /// Min-heap on (at, seq); may hold stale entries of cancelled events.
   mutable std::vector<Entry> heap_;
-
-  // Calendar backend state. Mutable in effect: NextTime() is const but may
-  // turn the wheel (it only reorders internal storage, never changes the
-  // observable sequence of events) — it const_casts to reuse
-  // AdvanceToNextLive, mirroring the heap's mutable lazy-drop.
-  std::vector<Entry> cur_;    ///< current bucket, sorted by (at, seq)
-  std::size_t cur_pos_ = 0;   ///< drain position within cur_
-  std::vector<std::vector<Entry>> buckets_;  ///< future ring, unsorted
-  /// One bit per bucket: set while the bucket is non-empty. The advance
-  /// loop word-scans it to jump straight to the next occupied bucket, so
-  /// turning the wheel costs O(occupied gap / 64) instead of one boundary
-  /// refresh + probe per empty bucket (the low-occupancy hot cost).
-  std::vector<std::uint64_t> bucket_bits_;
-  std::size_t bucket_count_ = 0;             ///< power of two
-  Time origin_ = 0.0;         ///< absolute time of bucket 0's left edge
-  std::uint64_t tick_ = 0;    ///< absolute index of the current bucket
-  Time width_ = 1e-4;         ///< bucket width, re-fitted by Rebuild
-  Time inv_width_ = 1e4;      ///< cached 1 / width_ (routing guess only)
-  Time cur_end_ = 0.0;        ///< cached Boundary(tick_ + 1)
-  Time horizon_ = 0.0;        ///< cached Boundary(tick_ + bucket_count_)
-  std::size_t wheel_entries_ = 0;  ///< entries in cur_[cur_pos_..] + buckets_
-  std::size_t last_routed_ = 0;    ///< destination of the last RouteEntry
-  std::vector<Entry> overflow_;    ///< min-heap of events past the horizon
-  std::vector<Entry> rebuild_scratch_;
 };
 
 }  // namespace kairos::sim

@@ -12,14 +12,6 @@ namespace kairos::sim {
 /// Deterministic single-threaded discrete-event simulator.
 class Simulator {
  public:
-  /// Uses the process default event-queue backend (see
-  /// DefaultQueueBackend / KAIROS_EVENT_QUEUE).
-  Simulator() = default;
-
-  /// Pins the event-queue backend, letting tests and perf_suite race the
-  /// calendar wheel against the binary-heap oracle on the same workload.
-  explicit Simulator(QueueBackend backend) : queue_(backend) {}
-
   /// Current simulation time (seconds).
   Time Now() const { return now_; }
 

@@ -7,7 +7,6 @@
 #include <fstream>
 #include <iomanip>
 #include <ostream>
-#include <stdexcept>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -160,32 +159,6 @@ StatusOr<Trace> ReadTraceCsv(const std::string& path) {
     queries.push_back(q);
   }
   return Trace(std::move(queries));
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated throwing shims (DESIGN.md Sec. 7): pre-Status callers expect
-// the throwing contract; the message is exactly Status::ToString().
-
-void SaveTraceCsv(const Trace& trace, std::ostream& os) {
-  const Status status = WriteTraceCsv(trace, os);
-  if (!status.ok()) throw std::runtime_error(status.ToString());
-}
-
-void SaveTraceCsv(const Trace& trace, const std::string& path) {
-  const Status status = WriteTraceCsv(trace, path);
-  if (!status.ok()) throw std::runtime_error(status.ToString());
-}
-
-Trace LoadTraceCsv(std::istream& is) {
-  StatusOr<Trace> trace = ReadTraceCsv(is);
-  if (!trace.ok()) throw std::runtime_error(trace.status().ToString());
-  return *std::move(trace);
-}
-
-Trace LoadTraceCsv(const std::string& path) {
-  StatusOr<Trace> trace = ReadTraceCsv(path);
-  if (!trace.ok()) throw std::runtime_error(trace.status().ToString());
-  return *std::move(trace);
 }
 
 // ---------------------------------------------------------------------------

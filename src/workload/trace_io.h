@@ -8,8 +8,8 @@
 //   - StreamingTraceReader pulls queries in bounded-memory chunks, the
 //     million-user scale path (DESIGN.md Sec. 12). Files ending in ".gz"
 //     are decompressed transparently when the build found zlib.
-// All entry points follow the repo-wide Status/StatusOr contract; the
-// historical throwing Save/LoadTraceCsv names remain as deprecated shims.
+// All entry points follow the repo-wide Status/StatusOr contract (DESIGN.md
+// Sec. 7) and never throw on bad input.
 #pragma once
 
 #include <cstdint>
@@ -40,16 +40,6 @@ StatusOr<Trace> ReadTraceCsv(std::istream& is);
 /// built in); kNotFound when the file cannot be opened. Implemented over
 /// StreamingTraceReader, so it accepts exactly what streaming accepts.
 StatusOr<Trace> ReadTraceCsv(const std::string& path);
-
-/// Deprecated throwing shims predating the Status contract (DESIGN.md
-/// Sec. 7); the exception message is exactly Status::ToString().
-[[deprecated("use WriteTraceCsv")]] void SaveTraceCsv(const Trace& trace,
-                                                      std::ostream& os);
-[[deprecated("use WriteTraceCsv")]] void SaveTraceCsv(
-    const Trace& trace, const std::string& path);
-[[deprecated("use ReadTraceCsv")]] Trace LoadTraceCsv(std::istream& is);
-[[deprecated("use ReadTraceCsv")]] Trace LoadTraceCsv(
-    const std::string& path);
 
 /// True when this build can read ".gz" traces (zlib was found by CMake).
 bool TraceGzipSupported();

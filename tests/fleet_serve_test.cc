@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "core/fleet.h"
-#include "sim/event_queue.h"
 
 namespace kairos::core {
 namespace {
@@ -290,39 +289,6 @@ TEST(FleetServeTest, ServeThreadsAreBitIdentical) {
     const auto threaded = fleet.ServeAll(*plan, serve);
     ASSERT_TRUE(threaded.ok()) << threaded.status().ToString();
     ExpectBitIdentical(*serial, *threaded);
-  }
-}
-
-// The calendar wheel replaced the binary heap as the default event
-// queue; the heap stays behind a runtime switch as the firing-order
-// oracle. A full co-simulation (load shift, periodic reallocation,
-// windows, launch lag) must come out bit-identical under both backends
-// at every serve_threads — any divergence means the wheel broke the
-// FIFO-at-equal-timestamp contract somewhere the microbenches missed.
-TEST(FleetServeTest, HeapAndWheelBackendsAreBitIdentical) {
-  const Fleet fleet = MakeFleet();
-  const auto plan = fleet.PlanAll();
-  ASSERT_TRUE(plan.ok());
-
-  FleetServeOptions serve;
-  serve.duration_s = 30.0;
-  serve.base_rate_qps = 18.0;
-  serve.window_s = 5.0;
-  serve.realloc_period_s = 10.0;
-  serve.launch_lag_s = 1.0;
-  serve.shifts = {FleetLoadShift{12.0, "RM2", 4.0}};
-
-  const sim::QueueBackend previous = sim::DefaultQueueBackend();
-  for (const std::size_t threads : {1u, 4u, 8u}) {
-    serve.serve_threads = threads;
-    sim::SetDefaultQueueBackend(sim::QueueBackend::kCalendar);
-    const auto wheel = fleet.ServeAll(*plan, serve);
-    sim::SetDefaultQueueBackend(sim::QueueBackend::kHeap);
-    const auto heap = fleet.ServeAll(*plan, serve);
-    sim::SetDefaultQueueBackend(previous);
-    ASSERT_TRUE(wheel.ok()) << wheel.status().ToString();
-    ASSERT_TRUE(heap.ok()) << heap.status().ToString();
-    ExpectBitIdentical(*wheel, *heap);
   }
 }
 

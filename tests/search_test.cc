@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <map>
 
@@ -171,7 +172,7 @@ INSTANTIATE_TEST_SUITE_P(
     AlgoCaseName);
 
 TEST(CountingEvaluatorTest, EvaluateBatchStagesWithoutCounting) {
-  int raw_calls = 0;
+  std::atomic<int> raw_calls{0};  // an EvalFn must be thread-safe
   CountingEvaluator eval([&](const Config& c) {
     ++raw_calls;
     return SyntheticQps(c);

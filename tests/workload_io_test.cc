@@ -256,29 +256,6 @@ TEST(TraceIoTest, GzipRoundTripMatchesPlainRead) {
 #endif
 }
 
-// The pre-Status names still work for old callers and throw with exactly
-// Status::ToString() as the message.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(TraceIoTest, DeprecatedThrowingShimsStillWork) {
-  const Trace trace({Query{1u, 3, 0.5}});
-  std::stringstream buffer;
-  SaveTraceCsv(trace, buffer);
-  const Trace loaded = LoadTraceCsv(buffer);
-  ASSERT_EQ(loaded.size(), 1u);
-  EXPECT_EQ(loaded.queries()[0].id, 1u);
-  std::stringstream bad("wrong,header,here\n");
-  try {
-    (void)LoadTraceCsv(bad);
-    FAIL() << "LoadTraceCsv on a bad header must throw";
-  } catch (const std::runtime_error& err) {
-    EXPECT_NE(std::string(err.what()).find("INVALID_ARGUMENT"),
-              std::string::npos)
-        << err.what();
-  }
-}
-#pragma GCC diagnostic pop
-
 TEST(MixtureBatchesTest, WeightsRespected) {
   auto mix = MixtureBatches::BimodalDefault();
   Rng rng(3);
