@@ -9,8 +9,7 @@
 //                                    churn (fire one / schedule one) at a
 //                                    held occupancy
 //   * eval_trials_per_sec          — AllowableThroughput simulation trials/s
-//   * evals_per_sec_kairos_plus    — KAIROS+ planning, serial evaluation
-//   * evals_per_sec_kairos_plus_batched — same plan, batched eval frontier
+//   * evals_per_sec_kairos_plus    — KAIROS+ planning evaluations/s
 //   * plans_per_sec_kairos         — one-shot (zero-evaluation) planning
 //   * serve_all_wall_s_{1,2,4,8}t  — 8-shard fleet co-simulation wall-clock
 //   * serve_all_speedup_8t         — wall(1 thread) / wall(8 threads)
@@ -270,8 +269,8 @@ Metric EvalTrialsPerSec(std::size_t queries, int rounds) {
   return {"eval_trials_per_sec", static_cast<double>(trials) / wall, true};
 }
 
-/// KAIROS+ planning throughput in evaluations/sec, serial vs batched
-/// frontier (same SearchResult by construction; asserted here).
+/// KAIROS+ planning throughput in evaluations/sec over one plan, and
+/// one-shot KAIROS plans/sec.
 std::vector<Metric> PlannerEvalsPerSec(std::size_t queries,
                                        std::size_t max_evals) {
   const cloud::Catalog catalog = cloud::Catalog::PaperPool();
@@ -290,52 +289,14 @@ std::vector<Metric> PlannerEvalsPerSec(std::size_t queries,
   };
 
   std::vector<Metric> metrics;
-  // The batched frontier must never cost evaluations/sec: it regressed
-  // once (staging overhead with a serial frontier) and EvaluateBatch's
-  // serial fallback exists precisely to keep that from recurring, so the
-  // bench gates batched >= 0.95x serial in-binary. Wall noise on a loaded
-  // runner can fake a miss, so remeasure up to three interleaved pairs and
-  // gate on the best rate seen on each side.
-  constexpr double kBatchedFloor = 0.95;
-  double serial_rate = 0.0, batched_rate = 0.0;
-  core::PlannerOutcome serial_outcome, batched_outcome;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    for (const bool batched : {false, true}) {
-      search::SearchOptions search;
-      search.max_evals = max_evals;
-      search.eval_threads = batched ? 0 : 1;  // 0 = hardware concurrency
-      const auto start = Clock::now();
-      const auto outcome = bench.PlanWith("KAIROS+", monitor, eval, search);
-      const double wall = SecondsSince(start);
-      const double rate = static_cast<double>(outcome.evaluations) / wall;
-      if (batched) {
-        batched_rate = std::max(batched_rate, rate);
-        batched_outcome = outcome;
-      } else {
-        serial_rate = std::max(serial_rate, rate);
-        serial_outcome = outcome;
-      }
-    }
-    if (!(serial_outcome.config == batched_outcome.config) ||
-        serial_outcome.evaluations != batched_outcome.evaluations) {
-      std::cerr << "FATAL: batched KAIROS+ diverged from serial ("
-                << serial_outcome.config.ToString() << "/"
-                << serial_outcome.evaluations << " vs "
-                << batched_outcome.config.ToString() << "/"
-                << batched_outcome.evaluations << ")\n";
-      std::exit(1);
-    }
-    if (batched_rate >= kBatchedFloor * serial_rate) break;
-  }
-  metrics.push_back({"evals_per_sec_kairos_plus", serial_rate, true});
-  metrics.push_back(
-      {"evals_per_sec_kairos_plus_batched", batched_rate, true});
-  if (batched_rate < kBatchedFloor * serial_rate) {
-    std::cerr << "FATAL: batched KAIROS+ evaluation rate " << batched_rate
-              << "/s fell below " << kBatchedFloor << "x the serial rate "
-              << serial_rate << "/s (the batched frontier must never cost "
-              << "throughput; see CountingEvaluator::EvaluateBatch)\n";
-    std::exit(1);
+  {
+    search::SearchOptions search;
+    search.max_evals = max_evals;
+    const auto start = Clock::now();
+    const auto outcome = bench.PlanWith("KAIROS+", monitor, eval, search);
+    const double wall = SecondsSince(start);
+    metrics.push_back({"evals_per_sec_kairos_plus",
+                       static_cast<double>(outcome.evaluations) / wall, true});
   }
 
   // One-shot planning passes (zero evaluations) for the registry default.

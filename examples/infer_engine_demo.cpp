@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   using namespace kairos;
   const std::size_t threads =
       argc > 1 ? static_cast<std::size_t>(std::stoul(argv[1])) : 0;
-  infer::ThreadPool pool(threads);
+  ThreadPool pool(threads);
   std::cout << "thread pool: " << pool.thread_count() << " worker(s)\n";
 
   const std::vector<std::size_t> batches = {8, 32, 64, 128, 256, 512};

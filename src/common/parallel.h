@@ -1,7 +1,8 @@
-// Small in-process parallelism primitives for embarrassingly parallel
-// planning work: a fixed-size ThreadPool and a ParallelFor built on top of
-// it. The Fleet facade uses these to probe and plan independent models
-// concurrently (DESIGN.md Sec. 7); nothing here knows about planning.
+// The repo's one thread pool: a fixed-size ThreadPool and a ParallelFor
+// built on top of it, for embarrassingly parallel work. The Fleet facade
+// uses these to probe, plan and serve independent models concurrently
+// (DESIGN.md Sec. 7 and 9), and the inference engine splits a batch's rows
+// across a pool (infer/ops.h); nothing here knows about either.
 //
 // Tasks must do their own error handling through Status-shaped results;
 // an exception escaping a task is captured and rethrown to the caller of
@@ -70,12 +71,12 @@ void ParallelFor(std::size_t n, std::size_t threads,
                  const std::function<void(std::size_t)>& fn);
 
 /// The pool-reusing form: identical semantics, but the workers come from
-/// `pool` instead of a pool spawned per call. Barrier-style drivers —
-/// Fleet::ServeAll advancing its shards once per window, a search
-/// evaluating one frontier per pruning round — call this many times per
-/// run and must not pay thread spawn each time. The caller must own the
-/// pool exclusively for the duration of the call: Wait() returns only
-/// when *all* work submitted to the pool has finished.
+/// `pool` instead of a pool spawned per call. Drivers that call this many
+/// times per run — Fleet::ServeAll advancing its shards once per window,
+/// the inference engine's Gemm once per layer — must not pay thread spawn
+/// each time. A one-worker pool runs fn inline, in index order. The
+/// caller must own the pool exclusively for the duration of the call:
+/// Wait() returns only when *all* work submitted to the pool has finished.
 void ParallelFor(ThreadPool& pool, std::size_t n,
                  const std::function<void(std::size_t)>& fn);
 

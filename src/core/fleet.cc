@@ -893,10 +893,9 @@ StatusOr<FleetServeResult> Fleet::ServeAll(const FleetPlan& plan,
       replan_span->AddArg("model", names_[indices[j]]);
       replan_span->AddArg("budget_per_hour", std::to_string(budget));
       if (request.eval != nullptr) {
-        // Per-trial evaluation spans. Trials may run on the search pool
-        // (eval_threads > 1): span emission rides the tracer's per-shard
-        // mutex, and the trial count accumulates in a shared atomic that
-        // lands on the fleet shard's counter once, back on this thread.
+        // Per-trial evaluation spans. The search evaluates on this thread;
+        // the trial count accumulates in a counter shared with the
+        // EvalFn's copies and lands on the fleet shard's counter once.
         trials = std::make_shared<std::atomic<std::uint64_t>>(0);
         search::EvalFn inner = std::move(request.eval);
         telemetry::TraceRecorder* const tracer = &tel->tracer();

@@ -5,9 +5,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/parallel.h"
 #include "infer/ops.h"
 #include "infer/tensor.h"
-#include "infer/thread_pool.h"
 
 namespace kairos::infer {
 

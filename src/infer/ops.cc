@@ -14,7 +14,7 @@ void Gemm(const Tensor& x, const Tensor& w, Tensor& out, ThreadPool& pool) {
   }
   const std::size_t in = x.cols();
   const std::size_t width = w.cols();
-  pool.ParallelFor(x.rows(), [&](std::size_t r) {
+  ParallelFor(pool, x.rows(), [&](std::size_t r) {
     float* out_row = out.row(r);
     for (std::size_t c = 0; c < width; ++c) out_row[c] = 0.0f;
     const float* x_row = x.row(r);
@@ -67,7 +67,7 @@ void EmbeddingTable::GatherPooled(const std::vector<std::uint32_t>& indices,
       indices.size() != out.rows() * lookups_per_sample) {
     throw std::invalid_argument("GatherPooled: shape mismatch");
   }
-  pool.ParallelFor(out.rows(), [&](std::size_t r) {
+  ParallelFor(pool, out.rows(), [&](std::size_t r) {
     float* out_row = out.row(r);
     for (std::size_t c = 0; c < dim(); ++c) out_row[c] = 0.0f;
     for (std::size_t l = 0; l < lookups_per_sample; ++l) {

@@ -6,13 +6,16 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/parallel.h"
 #include "infer/tensor.h"
-#include "infer/thread_pool.h"
 
 namespace kairos::infer {
 
 /// out = x * w  (x: [batch, in], w: [in, out_features]); rows of `x` are
-/// parallelized over the pool.
+/// parallelized over the pool. The paper's CPU serving uses all cores of an
+/// instance for one query at a time (Sec. 6); ParallelFor over batch rows is
+/// that execution model. Rows are independent, so the output does not
+/// depend on the pool's thread count.
 void Gemm(const Tensor& x, const Tensor& w, Tensor& out, ThreadPool& pool);
 
 /// Activation functions for MLP layers.

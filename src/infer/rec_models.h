@@ -10,9 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "infer/net.h"
 #include "infer/ops.h"
-#include "infer/thread_pool.h"
 
 namespace kairos::infer {
 

@@ -53,29 +53,6 @@ SearchResult GeneticSearch(const std::vector<cloud::Config>& configs,
             evaluator.best_qps() >= options.target_qps);
   };
 
-  // Batched mode: frontiers (the initial population, each generation's
-  // children) are speculatively evaluated in parallel, then committed
-  // serially — identical SearchResult to the serial walk because commits
-  // replay the serial evaluation order and speculative results for
-  // never-committed candidates are discarded uncounted.
-  const std::size_t frontier_k = FrontierWidth(options.eval_threads);
-  auto prefetch = [&](const std::vector<cloud::Config>& frontier) {
-    if (frontier_k <= 1) return;
-    // Cap speculation at the remaining eval budget (like the other
-    // searches): candidates past the cap are never committed, so
-    // computing them would be pure waste. Duplicates inside the cap only
-    // push real commits further out, never past it.
-    const std::size_t budget_left = options.max_evals - evaluator.evals();
-    if (frontier.size() > budget_left) {
-      evaluator.EvaluateBatch(
-          {frontier.begin(),
-           frontier.begin() + static_cast<std::ptrdiff_t>(budget_left)},
-          frontier_k);
-    } else {
-      evaluator.EvaluateBatch(frontier, frontier_k);
-    }
-  };
-
   // Initial population: random feasible candidates.
   std::vector<cloud::Config> population;
   std::vector<double> fitness;
@@ -83,7 +60,6 @@ SearchResult GeneticSearch(const std::vector<cloud::Config>& configs,
     std::vector<cloud::Config> shuffled = configs;
     std::shuffle(shuffled.begin(), shuffled.end(), rng.engine());
     shuffled.resize(std::min(ga.population, shuffled.size()));
-    prefetch(shuffled);
     for (const cloud::Config& c : shuffled) {
       population.push_back(c);
       fitness.push_back(evaluate(c));
@@ -103,14 +79,12 @@ SearchResult GeneticSearch(const std::vector<cloud::Config>& configs,
   };
 
   for (std::size_t gen = 0; gen < ga.generations && !done(); ++gen) {
-    // Generate the whole generation's children first — selection and
-    // mutation only read the *previous* generation's fitness and the RNG,
-    // never an evaluation result, so the draw sequence is identical to the
-    // serial interleaving — then evaluate them as one speculative batch.
+    // Generate the whole generation's children, then evaluate them in
+    // order. Selection and mutation read only the previous generation's
+    // fitness and the RNG, never an evaluation result.
     std::vector<cloud::Config> children;
-    // Attempt bound: the serial loop tolerated endless repair failures
-    // only because nothing else could make progress either; keep the same
-    // tolerance per child but never spin a whole generation forever.
+    // Attempt bound: a failed repair draws a fresh child, but a generation
+    // never spins forever.
     std::size_t attempts_left = 64 * ga.population + 1024;
     while (children.size() < ga.population && attempts_left-- > 0) {
       const cloud::Config& a = tournament_pick();
@@ -129,7 +103,6 @@ SearchResult GeneticSearch(const std::vector<cloud::Config>& configs,
       if (!Repair(child, valid, rng)) continue;
       children.emplace_back(child);
     }
-    prefetch(children);
 
     std::vector<cloud::Config> next_pop;
     std::vector<double> next_fit;

@@ -1,6 +1,5 @@
 #include "search/kairos_plus.h"
 
-#include <algorithm>
 #include <map>
 
 namespace kairos::search {
@@ -19,33 +18,9 @@ SearchResult KairosPlusSearch(const std::vector<ub::RankedConfig>& ranked,
   }
   CandidatePool pool(std::move(configs));
 
-  const std::size_t frontier_k = FrontierWidth(options.eval_threads);
-  std::size_t prefetched_to = 0;  ///< ranked[0, prefetched_to) considered
-
-  for (std::size_t idx = 0; idx < ranked.size(); ++idx) {
-    const ub::RankedConfig& rc = ranked[idx];
+  for (const ub::RankedConfig& rc : ranked) {
     if (pool.empty() || evaluator.evals() >= options.max_evals) break;
     if (!pool.Contains(rc.config)) continue;  // pruned earlier
-
-    if (frontier_k > 1 && idx >= prefetched_to) {
-      // Speculatively evaluate the UB-ordered frontier: the next up-to-k
-      // still-alive candidates, capped at the remaining eval budget. The
-      // serial commit below preserves Algorithm 1's count/best semantics
-      // exactly; results for candidates pruned before their turn are
-      // dropped unseen.
-      const std::size_t budget_left = options.max_evals - evaluator.evals();
-      std::vector<cloud::Config> frontier;
-      std::size_t j = idx;
-      for (; j < ranked.size() &&
-             frontier.size() < std::min(frontier_k, budget_left);
-           ++j) {
-        if (pool.Contains(ranked[j].config)) {
-          frontier.push_back(ranked[j].config);
-        }
-      }
-      prefetched_to = j;
-      evaluator.EvaluateBatch(frontier, frontier_k);
-    }
 
     const double qps = evaluator(rc.config);
     pool.Remove(rc.config);

@@ -15,29 +15,9 @@ SearchResult RandomSearch(const std::vector<cloud::Config>& configs,
   Rng rng(options.seed);
   std::shuffle(order.begin(), order.end(), rng.engine());
 
-  const std::size_t frontier_k = FrontierWidth(options.eval_threads);
-  std::size_t prefetched_to = 0;  ///< order[0, prefetched_to) considered
-
-  for (std::size_t idx = 0; idx < order.size(); ++idx) {
-    const cloud::Config& c = order[idx];
+  for (const cloud::Config& c : order) {
     if (pool.empty() || evaluator.evals() >= options.max_evals) break;
     if (!pool.Contains(c)) continue;
-
-    if (frontier_k > 1 && idx >= prefetched_to) {
-      // Speculative batch over the next up-to-k still-alive candidates in
-      // shuffle order; the serial commit below keeps the count, history
-      // and best identical to the serial walk.
-      const std::size_t budget_left = options.max_evals - evaluator.evals();
-      std::vector<cloud::Config> frontier;
-      std::size_t j = idx;
-      for (; j < order.size() &&
-             frontier.size() < std::min(frontier_k, budget_left);
-           ++j) {
-        if (pool.Contains(order[j])) frontier.push_back(order[j]);
-      }
-      prefetched_to = j;
-      evaluator.EvaluateBatch(frontier, frontier_k);
-    }
 
     const double qps = evaluator(c);
     pool.Remove(c);

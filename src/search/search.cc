@@ -1,89 +1,25 @@
 #include "search/search.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace kairos::search {
-
-std::size_t FrontierWidth(std::size_t eval_threads) {
-  return ParallelismFor(eval_threads,
-                        std::numeric_limits<std::size_t>::max());
-}
 
 CountingEvaluator::CountingEvaluator(EvalFn fn) : fn_(std::move(fn)) {
   if (!fn_) throw std::invalid_argument("CountingEvaluator: null EvalFn");
 }
 
 double CountingEvaluator::operator()(const cloud::Config& config) {
-  // One fingerprint serves every map the lookup touches.
-  const std::uint64_t fp = config.Fingerprint();
-  if (const double* hit = memo_.FindHashed(fp, config)) return *hit;
-  double qps;
-  if (double* staged = staged_.FindHashed(fp, config)) {
-    qps = *staged;  // commit the speculative result
-    staged_.EraseHashed(fp, config);
-  } else {
-    qps = fn_(config);
+  if (const auto hit = memo_.find(config); hit != memo_.end()) {
+    return hit->second;
   }
-  memo_.InsertHashed(fp, config, qps);
+  const double qps = fn_(config);
+  memo_.emplace(config, qps);
   history_.push_back(EvalRecord{config, qps});
   if (qps > best_qps_ || history_.size() == 1) {
     best_qps_ = qps;
     best_config_ = config;
   }
   return qps;
-}
-
-void CountingEvaluator::EvaluateBatch(
-    const std::vector<cloud::Config>& configs, std::size_t threads) {
-  // Serial fallback: with one worker (or a degenerate frontier) staging is
-  // pure overhead — operator() evaluates lazily and skips work on pruned
-  // candidates, which staging would have paid for. Returning here keeps
-  // eval_threads=1 searches identical to never calling EvaluateBatch.
-  if (FrontierWidth(threads) <= 1 || configs.size() < 2) return;
-
-  // Distinct configs not yet known; memoized and staged entries are paid
-  // for already. Frontiers are small (≈ the worker count), so the linear
-  // duplicate scan is cheaper than a set.
-  std::vector<const cloud::Config*> missing;
-  std::vector<std::uint64_t> fingerprints;
-  missing.reserve(configs.size());
-  fingerprints.reserve(configs.size());
-  for (const cloud::Config& c : configs) {
-    const std::uint64_t fp = c.Fingerprint();
-    if (memo_.ContainsHashed(fp, c) || staged_.ContainsHashed(fp, c)) {
-      continue;
-    }
-    const bool dup = std::any_of(
-        missing.begin(), missing.end(),
-        [&](const cloud::Config* seen) { return *seen == c; });
-    if (!dup) {
-      missing.push_back(&c);
-      fingerprints.push_back(fp);
-    }
-  }
-  if (missing.empty()) return;
-
-  std::vector<double> values(missing.size());
-  const std::size_t workers = ParallelismFor(threads, missing.size());
-  if (workers == 1) {
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-      values[i] = fn_(*missing[i]);
-    }
-  } else {
-    // Size the pool for the *requested* width, not this batch's (a first
-    // batch that dedups down to 2 configs must not cap an 8-thread search
-    // at 2 workers forever); grow it if a later call asks wider.
-    const std::size_t width = FrontierWidth(threads);
-    if (pool_ == nullptr || pool_->thread_count() < width) {
-      pool_ = std::make_unique<ThreadPool>(width);
-    }
-    ParallelFor(*pool_, missing.size(),
-                [&](std::size_t i) { values[i] = fn_(*missing[i]); });
-  }
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    staged_.InsertHashed(fingerprints[i], *missing[i], values[i]);
-  }
 }
 
 SearchResult CountingEvaluator::ToResult() const {

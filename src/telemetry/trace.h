@@ -8,8 +8,8 @@
 // common case is single-writer-per-shard (uncontended lock, spans are
 // coarse — per engine advance, per barrier, per planner trial — so the
 // lock is nowhere near the metrics hot path), but the mutex makes
-// cross-thread emission safe where it does happen (batched planner
-// evaluation with eval_threads > 1 emits trial spans from pool workers).
+// emission safe from any thread: ServeAll's shard workers emit their
+// engines' spans from pool threads.
 #pragma once
 
 #include <chrono>

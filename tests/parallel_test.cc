@@ -1,5 +1,6 @@
-// The common/parallel primitives the Fleet uses to probe and plan
-// independent models concurrently: ThreadPool and ParallelFor.
+// The common/parallel primitives: ThreadPool and ParallelFor. The Fleet
+// uses them to probe, plan and serve independent models concurrently, and
+// the inference engine to split a batch's rows across a reused pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -52,6 +53,48 @@ TEST(ThreadPoolTest, WaitRethrowsTheFirstTaskException) {
   pool.Submit([&] { ++count; });
   pool.Wait();
   EXPECT_EQ(count.load(), 1);
+}
+
+TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(1000);
+  ParallelFor(pool, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, ParallelForSmallAndEmpty) {
+  ThreadPool pool(4);
+  std::atomic<int> count{0};
+  ParallelFor(pool, 0, [&](std::size_t) { ++count; });
+  EXPECT_EQ(count.load(), 0);
+  ParallelFor(pool, 2, [&](std::size_t) { ++count; });  // on two workers
+  EXPECT_EQ(count.load(), 2);
+}
+
+TEST(ThreadPoolTest, SingleThreadFallback) {
+  ThreadPool pool(1);
+  std::vector<int> order;  // a one-worker pool runs inline, in index order
+  ParallelFor(pool, 5,
+              [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPoolTest, ParallelForReusesOnePoolBackToBack) {
+  // Gemm's pattern: many short calls back to back on one pool, each with
+  // state on the caller's stack. A call must not return while a worker
+  // still touches that state, because the next call's frame reuses the
+  // stack; the sanitizer jobs run this to catch such a race.
+  ThreadPool pool(4);
+  constexpr long kCalls = 20000;
+  long sum = 0;
+  for (long call = 0; call < kCalls; ++call) {
+    std::atomic<long> local{0};
+    ParallelFor(pool, 4, [&](std::size_t i) {
+      local += static_cast<long>(i) + 1;
+    });
+    sum += local.load();
+  }
+  EXPECT_EQ(sum, 10 * kCalls);
 }
 
 TEST(ParallelForTest, VisitsEveryIndexExactlyOnce) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <map>
 
@@ -170,123 +169,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          Algo::kAnnealing, Algo::kBayesOpt),
                        ::testing::Values(1u, 2u, 3u)),
     AlgoCaseName);
-
-TEST(CountingEvaluatorTest, EvaluateBatchStagesWithoutCounting) {
-  std::atomic<int> raw_calls{0};  // an EvalFn must be thread-safe
-  CountingEvaluator eval([&](const Config& c) {
-    ++raw_calls;
-    return SyntheticQps(c);
-  });
-  const std::vector<Config> frontier = {Config({2, 1}), Config({1, 3}),
-                                        Config({2, 1})};  // dup collapses
-  eval.EvaluateBatch(frontier, 2);
-  EXPECT_EQ(raw_calls, 2);   // distinct configs computed speculatively
-  EXPECT_EQ(eval.evals(), 0u);  // nothing committed yet
-  // Committing pulls the staged value — no recompute — and counts it.
-  EXPECT_DOUBLE_EQ(eval(Config({2, 1})), SyntheticQps(Config({2, 1})));
-  EXPECT_EQ(raw_calls, 2);
-  EXPECT_EQ(eval.evals(), 1u);
-  // A staged-but-never-committed result is never counted, yet a staged
-  // re-batch does not recompute it either.
-  eval.EvaluateBatch({Config({1, 3})}, 2);
-  EXPECT_EQ(raw_calls, 2);
-  EXPECT_EQ(eval.evals(), 1u);
-}
-
-// Batched frontier evaluation is a wall-clock optimisation only: for any
-// eval_threads the SearchResult — best config, best qps, unique-eval count
-// and the history order itself — must be bit-identical to the serial walk.
-class BatchedSearchMatchesSerial
-    : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(BatchedSearchMatchesSerial, KairosPlus) {
-  const auto configs = Lattice(4, 6);
-  std::vector<double> bounds;
-  for (const Config& c : configs) bounds.push_back(SyntheticUpperBound(c));
-  const auto ranked = ub::RankByUpperBound(configs, bounds);
-
-  SearchOptions serial;
-  serial.seed = 5;
-  SearchOptions batched = serial;
-  batched.eval_threads = GetParam();
-  const SearchResult a = KairosPlusSearch(ranked, SyntheticQps, serial);
-  const SearchResult b = KairosPlusSearch(ranked, SyntheticQps, batched);
-  EXPECT_EQ(a.best_config, b.best_config);
-  EXPECT_EQ(a.best_qps, b.best_qps);
-  EXPECT_EQ(a.evals, b.evals);
-  ASSERT_EQ(a.history.size(), b.history.size());
-  for (std::size_t i = 0; i < a.history.size(); ++i) {
-    EXPECT_EQ(a.history[i].config, b.history[i].config);
-    EXPECT_EQ(a.history[i].qps, b.history[i].qps);
-  }
-}
-
-TEST_P(BatchedSearchMatchesSerial, KairosPlusWithCaps) {
-  const auto configs = Lattice(4, 6);
-  std::vector<double> bounds;
-  for (const Config& c : configs) bounds.push_back(SyntheticUpperBound(c));
-  const auto ranked = ub::RankByUpperBound(configs, bounds);
-
-  SearchOptions serial;
-  serial.max_evals = 5;
-  SearchOptions batched = serial;
-  batched.eval_threads = GetParam();
-  const SearchResult a = KairosPlusSearch(ranked, SyntheticQps, serial);
-  const SearchResult b = KairosPlusSearch(ranked, SyntheticQps, batched);
-  EXPECT_EQ(a.best_config, b.best_config);
-  EXPECT_EQ(a.evals, b.evals);
-
-  SearchOptions serial_target;
-  serial_target.target_qps = SyntheticQps(Argmax(configs)) * 0.9;
-  SearchOptions batched_target = serial_target;
-  batched_target.eval_threads = GetParam();
-  const SearchResult c = KairosPlusSearch(ranked, SyntheticQps, serial_target);
-  const SearchResult d = KairosPlusSearch(ranked, SyntheticQps, batched_target);
-  EXPECT_EQ(c.best_config, d.best_config);
-  EXPECT_EQ(c.evals, d.evals);
-}
-
-TEST_P(BatchedSearchMatchesSerial, RandomSearch) {
-  const auto configs = Lattice(4, 6);
-  SearchOptions serial;
-  serial.seed = 9;
-  serial.max_evals = 20;
-  SearchOptions batched = serial;
-  batched.eval_threads = GetParam();
-  const SearchResult a = RandomSearch(configs, SyntheticQps, serial);
-  const SearchResult b = RandomSearch(configs, SyntheticQps, batched);
-  EXPECT_EQ(a.best_config, b.best_config);
-  EXPECT_EQ(a.best_qps, b.best_qps);
-  EXPECT_EQ(a.evals, b.evals);
-}
-
-TEST_P(BatchedSearchMatchesSerial, GeneticSearch) {
-  const auto configs = Lattice(4, 6);
-  for (const std::uint64_t seed : {1u, 7u, 23u}) {
-    SearchOptions serial;
-    serial.seed = seed;
-    serial.max_evals = 40;
-    SearchOptions batched = serial;
-    batched.eval_threads = GetParam();
-    GeneticOptions ga;
-    ga.generations = 6;
-    const SearchResult a = GeneticSearch(configs, SyntheticQps, serial, ga);
-    const SearchResult b = GeneticSearch(configs, SyntheticQps, batched, ga);
-    EXPECT_EQ(a.best_config, b.best_config);
-    EXPECT_EQ(a.best_qps, b.best_qps);
-    EXPECT_EQ(a.evals, b.evals);
-    ASSERT_EQ(a.history.size(), b.history.size());
-    for (std::size_t i = 0; i < a.history.size(); ++i) {
-      EXPECT_EQ(a.history[i].config, b.history[i].config);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(EvalThreads, BatchedSearchMatchesSerial,
-                         ::testing::Values(2u, 4u, 8u),
-                         [](const ::testing::TestParamInfo<std::size_t>& i) {
-                           return std::to_string(i.param) + "threads";
-                         });
 
 TEST(AnnealingTest, RecordsExplorationHistory) {
   const auto configs = Lattice(4, 6);
