@@ -28,6 +28,22 @@ Status ValidateRequest(const PlannerContext& ctx, const PlanRequest& request) {
   return Status::Ok();
 }
 
+/// What the evaluation-driven backends need beyond ValidateRequest: an
+/// eval fn, and room for at least one evaluation. With none, the search
+/// has no measured configuration to return.
+Status ValidateEvaluations(const std::string& backend,
+                           const PlanRequest& request) {
+  if (request.eval == nullptr) {
+    return Status::FailedPrecondition("backend " + backend +
+                                      " needs PlanRequest::eval");
+  }
+  if (request.search.max_evals == 0) {
+    return Status::InvalidArgument("backend " + backend +
+                                   " needs SearchOptions::max_evals > 0");
+  }
+  return Status::Ok();
+}
+
 /// The budgeted space (enumerated once, reused by the planner), or
 /// kInfeasible when not even one base instance fits.
 StatusOr<std::vector<cloud::Config>> BudgetedSpace(const PlannerContext& ctx) {
@@ -77,10 +93,7 @@ class KairosPlusBackend final : public PlannerBackend {
   StatusOr<PlannerOutcome> Plan(const PlannerContext& ctx,
                                 const PlanRequest& request) const override {
     if (Status s = ValidateRequest(ctx, request); !s.ok()) return s;
-    if (request.eval == nullptr) {
-      return Status::FailedPrecondition(
-          "backend KAIROS+ needs PlanRequest::eval");
-    }
+    if (Status s = ValidateEvaluations(Name(), request); !s.ok()) return s;
     auto space = BudgetedSpace(ctx);
     if (!space.ok()) return space.status();
     const search::SearchResult result = Planner(ctx).PlanWithEvaluations(
@@ -149,10 +162,7 @@ class BruteForceBackend final : public PlannerBackend {
   StatusOr<PlannerOutcome> Plan(const PlannerContext& ctx,
                                 const PlanRequest& request) const override {
     if (Status s = ValidateRequest(ctx, request); !s.ok()) return s;
-    if (request.eval == nullptr) {
-      return Status::FailedPrecondition(
-          "backend BRUTE-FORCE needs PlanRequest::eval");
-    }
+    if (Status s = ValidateEvaluations(Name(), request); !s.ok()) return s;
     auto space = BudgetedSpace(ctx);
     if (!space.ok()) return space.status();
     PlannerOutcome outcome;

@@ -55,7 +55,8 @@ class PlannerBackend {
   virtual bool NeedsEvaluations() const { return false; }
 
   /// Plans one configuration. Returns kInvalidArgument for a malformed
-  /// context, kFailedPrecondition when a required eval fn is missing, and
+  /// context or, when NeedsEvaluations(), a zero search.max_evals;
+  /// kFailedPrecondition when a required eval fn is missing; and
   /// kInfeasible when no configuration fits the budget.
   virtual StatusOr<PlannerOutcome> Plan(const PlannerContext& ctx,
                                         const PlanRequest& request) const = 0;
@@ -66,7 +67,7 @@ class PlannerBackend {
   /// implementation runs the one-shot upper-bound ranking — analytic, no
   /// real evaluations — regardless of NeedsEvaluations(), and never
   /// consults PlanRequest::eval. Same error contract as Plan() minus the
-  /// missing-eval case.
+  /// two evaluation cases.
   virtual StatusOr<PlannerOutcome> Probe(const PlannerContext& ctx,
                                          const PlanRequest& request) const;
 };

@@ -13,7 +13,10 @@
 namespace kairos::search {
 
 /// Runs Algorithm 1 over a ranked candidate list (descending upper bound,
-/// as produced by ub::RankByUpperBound).
+/// as produced by ub::RankByUpperBound). `ranked` must hold distinct
+/// configs; every caller ranks an enumerated space, which guarantees it.
+/// Each entry is judged by its own upper bound, so the walk's result does
+/// not depend on the list being sorted.
 SearchResult KairosPlusSearch(const std::vector<ub::RankedConfig>& ranked,
                               const EvalFn& eval,
                               const SearchOptions& options = {});

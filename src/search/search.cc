@@ -61,16 +61,6 @@ void CandidatePool::RemoveSubConfigsOf(const cloud::Config& c) {
   }
 }
 
-void CandidatePool::RemoveIf(
-    const std::function<bool(const cloud::Config&)>& should_remove) {
-  for (std::size_t i = 0; i < configs_.size(); ++i) {
-    if (alive_[i] && should_remove(configs_[i])) {
-      alive_[i] = false;
-      --alive_count_;
-    }
-  }
-}
-
 std::vector<cloud::Config> CandidatePool::Remaining() const {
   std::vector<cloud::Config> out;
   out.reserve(alive_count_);

@@ -75,7 +75,9 @@ class CountingEvaluator {
   cloud::Config best_config_;
 };
 
-/// Candidate set supporting the two pruning rules of Algorithm 1.
+/// Candidate set of the baseline searches, with Algorithm 1's
+/// sub-configuration pruning rule. Kairos+ keeps alive flags over its
+/// ranked list instead (search/kairos_plus.cc).
 class CandidatePool {
  public:
   explicit CandidatePool(std::vector<cloud::Config> configs);
@@ -86,9 +88,6 @@ class CandidatePool {
   /// Prunes every strict sub-configuration of `c` (they cannot beat it:
   /// throughput is monotone under adding instances).
   void RemoveSubConfigsOf(const cloud::Config& c);
-
-  /// Prunes candidates failing the predicate (e.g. UB <= best-so-far).
-  void RemoveIf(const std::function<bool(const cloud::Config&)>& should_remove);
 
   std::size_t size() const { return alive_count_; }
   bool empty() const { return alive_count_ == 0; }

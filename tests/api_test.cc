@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "common/status.h"
 #include "core/fleet.h"
@@ -209,6 +210,13 @@ TEST_F(PlannerBackendTest, EvaluationBackendsRequireEval) {
     ASSERT_FALSE(outcome.ok());
     EXPECT_EQ(outcome.status().code(), StatusCode::kFailedPrecondition)
         << name;
+    // An eval fn with no evaluation allowed leaves no measured config to
+    // return.
+    request.eval = [](const Config&) { return 1.0; };
+    request.search.max_evals = 0;
+    const auto no_evals = (*backend)->Plan(Context(), request);
+    ASSERT_FALSE(no_evals.ok()) << name;
+    EXPECT_EQ(no_evals.status().code(), StatusCode::kInvalidArgument) << name;
   }
 }
 
@@ -393,6 +401,32 @@ TEST(FleetTest, BudgetSplitInvariants) {
   EXPECT_LE(share_sum, plan->budget_per_hour + 1e-9);
   EXPECT_NEAR(cost_sum, plan->total_cost_per_hour, 1e-9);
   EXPECT_LE(plan->total_cost_per_hour, plan->budget_per_hour + 1e-9);
+}
+
+TEST(FleetTest, ZeroMaxEvalsIsStatusNotThrow) {
+  // An evaluation-driven planner allowed no evaluation has no config to
+  // plan. PlanAll must report that as the model's Status, not throw.
+  const Catalog catalog = Catalog::PaperPool();
+  core::FleetModelOptions rm2;
+  rm2.model = "RM2";
+  rm2.monitor_warmup = 2000;
+  search::SearchOptions search;
+  search.max_evals = 0;
+  for (const char* planner : {"KAIROS+", "BRUTE-FORCE"}) {
+    core::FleetOptions options;
+    options.budget_per_hour = 3.0;
+    options.planner = planner;
+    auto fleet = Fleet::Create(catalog, {rm2}, options);
+    ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+    fleet->ObserveMixAll(workload::LogNormalBatches::Production());
+    std::optional<StatusOr<core::FleetPlan>> plan;
+    EXPECT_NO_THROW(plan.emplace(fleet->PlanAll(search))) << planner;
+    ASSERT_TRUE(plan.has_value()) << planner;
+    ASSERT_FALSE(plan->ok()) << planner;
+    EXPECT_EQ(plan->status().code(), StatusCode::kInvalidArgument) << planner;
+    EXPECT_EQ(plan->status().message().rfind("model RM2: ", 0), 0u)
+        << plan->status().message();
+  }
 }
 
 TEST(FleetTest, MeasureAllReportsEveryModel) {

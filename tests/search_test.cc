@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <map>
+#include <numeric>
+#include <random>
+#include <string>
 
 #include "cloud/config_space.h"
+#include "reference_kairos_plus.h"
 #include "search/annealing.h"
 #include "search/bayes_opt.h"
 #include "search/genetic.h"
@@ -74,13 +81,16 @@ TEST(CandidatePoolTest, SubConfigPruning) {
   EXPECT_TRUE(pool.Contains(Config({3, 1})));   // incomparable survives
 }
 
-TEST(CandidatePoolTest, RemoveIfAndRemaining) {
+TEST(CandidatePoolTest, RemoveAndRemaining) {
   CandidatePool pool(Lattice(2, 2));
-  pool.RemoveIf([](const Config& c) { return c.counts()[1] == 0; });
-  for (const Config& c : pool.Remaining()) EXPECT_GT(c.counts()[1], 0);
   pool.Remove(Config({1, 1}));
   EXPECT_FALSE(pool.Contains(Config({1, 1})));
   pool.Remove(Config({1, 1}));  // double remove is a no-op
+  EXPECT_EQ(pool.size(), 5u);
+  const std::vector<Config> remaining = {Config({1, 0}), Config({1, 2}),
+                                         Config({2, 0}), Config({2, 1}),
+                                         Config({2, 2})};
+  EXPECT_EQ(pool.Remaining(), remaining);  // enumeration order preserved
 }
 
 TEST(KairosPlusTest, FindsOptimumAndExhaustsPool) {
@@ -112,6 +122,108 @@ TEST(KairosPlusTest, RespectsMaxEvalsAndTarget) {
   target.target_qps = SyntheticQps(Argmax(configs)) * 0.9;
   const auto r = KairosPlusSearch(ranked, SyntheticQps, target);
   EXPECT_GE(r.best_qps, target.target_qps);
+}
+
+// Kairos+ against the Config-keyed search it replaced
+// (reference_kairos_plus.h), on random lists of distinct configs: 2-5
+// types with counts 0-3, in ranked and in shuffled order. Bounds and
+// evaluator values come from a few levels, so bound == best, equal
+// evaluations and zeros are common. Every stopping rule is crossed with
+// both pruning settings. The EvalFn calls, the history, the best config,
+// best_qps's bits and the evaluation count must all match.
+struct RaceList {
+  std::vector<ub::RankedConfig> ranked;
+  std::map<Config, double> qps;
+};
+
+RaceList RandomRaceList(std::mt19937_64& rng, bool rank) {
+  constexpr std::size_t kMaxConfigs = 32;
+  const int types = 2 + static_cast<int>(rng() % 4);
+  std::size_t space = 1;
+  for (int t = 0; t < types; ++t) space *= 4;
+  std::vector<std::size_t> codes(space);
+  std::iota(codes.begin(), codes.end(), std::size_t{0});
+  std::shuffle(codes.begin(), codes.end(), rng);
+  codes.resize(rng() % (std::min(space, kMaxConfigs) + 1));
+
+  RaceList list;
+  std::vector<Config> configs;
+  std::vector<double> bounds;
+  for (std::size_t code : codes) {
+    std::vector<int> counts(types);
+    for (int& n : counts) {
+      n = static_cast<int>(code % 4);
+      code /= 4;
+    }
+    configs.emplace_back(std::move(counts));
+    bounds.push_back(10.0 * static_cast<double>(rng() % 5));
+    list.qps[configs.back()] = 5.0 * static_cast<double>(rng() % 7);
+  }
+  list.ranked = ub::RankByUpperBound(configs, bounds);
+  if (!rank) std::shuffle(list.ranked.begin(), list.ranked.end(), rng);
+  return list;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(KairosPlusTest, MatchesReferenceOnRandomLists) {
+  constexpr std::size_t kUnlimited = std::numeric_limits<std::size_t>::max();
+  std::mt19937_64 rng(20231017);
+  for (int trial = 0; trial < 2000; ++trial) {
+    for (const bool rank : {true, false}) {
+      const RaceList list = RandomRaceList(rng, rank);
+      const double target = 5.0 * static_cast<double>(1 + rng() % 6);
+      for (const std::size_t max_evals : {std::size_t{0}, std::size_t{1},
+                                          std::size_t{2}, std::size_t{3},
+                                          kUnlimited}) {
+        for (const bool use_target : {false, true}) {
+          for (const bool prune_subconfigs : {true, false}) {
+            SearchOptions opt;
+            opt.max_evals = max_evals;
+            opt.target_qps = use_target ? target : 0.0;
+            opt.subconfig_pruning = prune_subconfigs;
+            std::vector<Config> got_calls;
+            std::vector<Config> want_calls;
+            const SearchResult got = KairosPlusSearch(
+                list.ranked,
+                [&](const Config& c) {
+                  got_calls.push_back(c);
+                  return list.qps.at(c);
+                },
+                opt);
+            const SearchResult want = reference::ReferenceKairosPlusSearch(
+                list.ranked,
+                [&](const Config& c) {
+                  want_calls.push_back(c);
+                  return list.qps.at(c);
+                },
+                opt);
+            // Built only when an assertion fails.
+            const auto where = [&] {
+              return "trial " + std::to_string(trial) +
+                     (rank ? " ranked" : " shuffled") + " max_evals " +
+                     std::to_string(max_evals) + " target " +
+                     std::to_string(opt.target_qps) + " subconfig " +
+                     std::to_string(prune_subconfigs);
+            };
+            ASSERT_EQ(got_calls, want_calls) << where();
+            ASSERT_EQ(got.evals, want.evals) << where();
+            ASSERT_EQ(got.best_config, want.best_config) << where();
+            ASSERT_TRUE(SameBits(got.best_qps, want.best_qps)) << where();
+            ASSERT_EQ(got.history.size(), want.history.size()) << where();
+            for (std::size_t i = 0; i < got.history.size(); ++i) {
+              ASSERT_EQ(got.history[i].config, want.history[i].config)
+                  << where();
+              ASSERT_TRUE(SameBits(got.history[i].qps, want.history[i].qps))
+                  << where();
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // All baseline searches must eventually reach the optimum when given the
