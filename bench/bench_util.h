@@ -12,6 +12,7 @@
 #include "cloud/config_space.h"
 #include "common/env.h"
 #include "common/status.h"
+#include "common/strings.h"
 #include "common/table.h"
 #include "core/kairos.h"
 #include "core/planner_backend.h"
@@ -84,7 +85,7 @@ struct ModelBench {
                     int drs_threshold = 200,
                     serving::PredictorOptions predictor = {}) const {
     policy::KnobMap knobs;
-    if (policy::CanonicalSchemeName(scheme) == "DRS") {
+    if (CanonicalName(scheme) == "DRS") {
       knobs["threshold"] = static_cast<double>(drs_threshold);
     }
     const auto factory =

@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "assign/hungarian.h"
 #include "assign/jv.h"
 #include "common/rng.h"
 #include "rpc/netem.h"
@@ -97,16 +96,6 @@ void BM_JvKairosShaped(benchmark::State& state) {
 BENCHMARK(BM_JvKairosShaped)
     ->Args({33, 42})   // a saturated serve_stream round: 33 waiting, 42 up
     ->Args({64, 42});  // the matcher window full
-
-void BM_HungarianMatching(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  kairos::Rng rng(42);
-  const kairos::Matrix cost = RandomCost(n, n, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kairos::assign::SolveHungarian(cost));
-  }
-}
-BENCHMARK(BM_HungarianMatching)->Arg(20)->Arg(64);
 
 // One full controller decision: matching + two simulated network hops.
 void BM_ControllerRoundTrip(benchmark::State& state) {

@@ -1,9 +1,5 @@
 #include "chaos/injector.h"
 
-#include <utility>
-
-#include "common/strings.h"
-
 namespace kairos::chaos {
 
 const char* ChaosEventName(ChaosEventKind kind) {
@@ -16,79 +12,6 @@ const char* ChaosEventName(ChaosEventKind kind) {
     case ChaosEventKind::kDomainOutage: return "DOMAIN_OUTAGE";
   }
   return "UNKNOWN";
-}
-
-ChaosRegistry& ChaosRegistry::Global() {
-  static ChaosRegistry* registry = new ChaosRegistry();
-  return *registry;
-}
-
-Status ChaosRegistry::Register(ChaosInfo info, ChaosBuilder builder) {
-  const std::string canonical = policy::CanonicalSchemeName(info.name);
-  if (canonical.empty()) {
-    return Status::InvalidArgument("chaos registration with empty name");
-  }
-  if (builder == nullptr) {
-    return Status::InvalidArgument("chaos injector " + canonical +
-                                   " registered without a builder");
-  }
-  info.name = canonical;
-  const auto [it, inserted] =
-      entries_.emplace(canonical, Entry{std::move(info), std::move(builder)});
-  if (!inserted) {
-    return Status::InvalidArgument("chaos injector " + it->first +
-                                   " registered twice");
-  }
-  return Status::Ok();
-}
-
-std::vector<std::string> ChaosRegistry::ListNames() const {
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) names.push_back(name);
-  return names;
-}
-
-bool ChaosRegistry::Contains(const std::string& name) const {
-  return entries_.count(policy::CanonicalSchemeName(name)) > 0;
-}
-
-StatusOr<ChaosRegistry::Entry> ChaosRegistry::Find(
-    const std::string& name) const {
-  const auto it = entries_.find(policy::CanonicalSchemeName(name));
-  if (it == entries_.end()) {
-    return Status::NotFound("unknown chaos injector \"" + name +
-                            "\"; registered injectors: " +
-                            JoinComma(ListNames()));
-  }
-  return it->second;
-}
-
-StatusOr<ChaosInfo> ChaosRegistry::Info(const std::string& name) const {
-  auto entry = Find(name);
-  if (!entry.ok()) return entry.status();
-  return entry->info;
-}
-
-StatusOr<std::unique_ptr<ChaosInjector>> ChaosRegistry::Build(
-    const std::string& name, const KnobMap& overrides) const {
-  auto entry = Find(name);
-  if (!entry.ok()) return entry.status();
-  KnobMap knobs = entry->info.knobs;
-  for (const auto& [knob, value] : overrides) {
-    const auto it = knobs.find(knob);
-    if (it == knobs.end()) {
-      std::vector<std::string> declared;
-      declared.reserve(knobs.size());
-      for (const auto& [k, v] : knobs) declared.push_back(k);
-      return Status::InvalidArgument(
-          "chaos injector " + entry->info.name + " has no knob \"" + knob +
-          "\"; declared knobs: " +
-          (declared.empty() ? "(none)" : JoinComma(declared)));
-    }
-    it->second = value;
-  }
-  return entry->builder(knobs);
 }
 
 }  // namespace kairos::chaos

@@ -2,8 +2,8 @@
 // injectors for the fleet co-simulation. ROADMAP's "chaos and failure
 // scenarios" item — the cost-efficiency story only matters if it survives
 // what production actually does: spot reclamation, instance death,
-// degraded networks. Injectors are registry-selected like every other
-// strategy in the repo (PolicyRegistry / ControllerRegistry / ...):
+// degraded networks. Injectors are selected by name from a
+// common/registry.h Registry, like every other strategy in the repo:
 //
 //   * SPOT_PREEMPTION — a preemptible market (cloud::SpotMarket): Poisson
 //                       reclamation timelines with a notice window and a
@@ -29,19 +29,14 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "cloud/billing.h"    // SpotMarket
-#include "common/status.h"
+#include "cloud/billing.h"  // SpotMarket
+#include "common/registry.h"
 #include "common/time.h"
-#include "policy/registry.h"  // KnobMap + CanonicalSchemeName
 
 namespace kairos::rpc {
 class NetworkModel;  // rpc/netem.h
@@ -49,9 +44,8 @@ class NetworkModel;  // rpc/netem.h
 
 namespace kairos::chaos {
 
-/// Injectors reuse the policy registry's knob convention: named numeric
-/// tunables, booleans encoded as 0.0 / 1.0.
-using policy::KnobMap;
+/// Named numeric tunables, booleans encoded as 0.0 / 1.0.
+using kairos::KnobMap;
 
 /// Injector "model" target meaning "every served model".
 inline constexpr std::size_t kAllModels =
@@ -177,64 +171,24 @@ class ChaosInjector {
   }
 };
 
-/// Registration-time description of one injector.
-struct ChaosInfo {
-  std::string name;     ///< canonical name, e.g. "SPOT_PREEMPTION"
-  std::string summary;  ///< one-line description for listings
-  KnobMap knobs;        ///< supported knob names with their defaults
-};
-
-/// Builds an injector from a *complete* knob map (defaults merged with
-/// the caller's overrides). kInvalidArgument for an out-of-range value.
-using ChaosBuilder = std::function<StatusOr<std::unique_ptr<ChaosInjector>>(
-    const KnobMap& knobs)>;
-
-/// Process-wide name -> injector table, mirroring ControllerRegistry:
-/// static registrars populate it, lookup is case-insensitive, unknown
-/// names come back as kNotFound listing the alternatives.
-class ChaosRegistry {
+/// Process-wide name -> injector table (common/registry.h): static
+/// registrars populate it, lookup is case-insensitive, and a builder
+/// receives the complete knob map. kInvalidArgument for an out-of-range
+/// knob value.
+class ChaosRegistry : public Registry<ChaosInjector> {
  public:
-  static ChaosRegistry& Global();
-
-  Status Register(ChaosInfo info, ChaosBuilder builder);
-
-  /// Canonical injector names, sorted alphabetically.
-  std::vector<std::string> ListNames() const;
-
-  bool Contains(const std::string& name) const;
-
-  /// Registration info (canonical name, summary, knobs).
-  StatusOr<ChaosInfo> Info(const std::string& name) const;
-
-  /// Builds an injector by (case-insensitive) name. `overrides` may set
-  /// any subset of the declared knobs; an undeclared knob name or an
-  /// out-of-range value is kInvalidArgument.
-  StatusOr<std::unique_ptr<ChaosInjector>> Build(
-      const std::string& name, const KnobMap& overrides = {}) const;
+  static ChaosRegistry& Global() {
+    static ChaosRegistry* registry = new ChaosRegistry();
+    return *registry;
+  }
 
  private:
-  struct Entry {
-    ChaosInfo info;
-    ChaosBuilder builder;
-  };
-
-  StatusOr<Entry> Find(const std::string& name) const;
-
-  std::map<std::string, Entry> entries_;  ///< keyed by canonical name
+  ChaosRegistry() : Registry("chaos injector") {}
 };
 
-/// Static-initialization helper, same pattern as ControllerRegistrar.
-class ChaosRegistrar {
- public:
-  ChaosRegistrar(ChaosInfo info, ChaosBuilder builder) {
-    const Status status =
-        ChaosRegistry::Global().Register(std::move(info), std::move(builder));
-    if (!status.ok()) {
-      std::fprintf(stderr, "ChaosRegistrar: %s\n", status.ToString().c_str());
-      std::abort();
-    }
-  }
-};
+using ChaosInfo = RegistryInfo;
+using ChaosBuilder = ChaosRegistry::Builder;
+using ChaosRegistrar = Registrar<ChaosRegistry>;
 
 }  // namespace kairos::chaos
 

@@ -21,7 +21,7 @@ inline std::string JoinComma(const std::vector<std::string>& items) {
 }
 
 /// Upper-cases ASCII — the canonical form every registry keys on
-/// ("kairos" -> "KAIROS"). policy::CanonicalSchemeName forwards here.
+/// ("kairos" -> "KAIROS").
 inline std::string CanonicalName(const std::string& name) {
   std::string canonical = name;
   for (char& c : canonical) {

@@ -1,9 +1,5 @@
 #include "control/controller.h"
 
-#include <utility>
-
-#include "common/strings.h"
-
 namespace kairos::control {
 
 const char* ControlActionName(ControlActionKind kind) {
@@ -16,81 +12,6 @@ const char* ControlActionName(ControlActionKind kind) {
     case ControlActionKind::kBorrowBudget: return "BORROW_BUDGET";
   }
   return "UNKNOWN";
-}
-
-ControllerRegistry& ControllerRegistry::Global() {
-  static ControllerRegistry* registry = new ControllerRegistry();
-  return *registry;
-}
-
-Status ControllerRegistry::Register(ControllerInfo info,
-                                    ControllerBuilder builder) {
-  const std::string canonical = policy::CanonicalSchemeName(info.name);
-  if (canonical.empty()) {
-    return Status::InvalidArgument("controller registration with empty name");
-  }
-  if (builder == nullptr) {
-    return Status::InvalidArgument("controller " + canonical +
-                                   " registered without a builder");
-  }
-  info.name = canonical;
-  const auto [it, inserted] =
-      entries_.emplace(canonical, Entry{std::move(info), std::move(builder)});
-  if (!inserted) {
-    return Status::InvalidArgument("controller " + it->first +
-                                   " registered twice");
-  }
-  return Status::Ok();
-}
-
-std::vector<std::string> ControllerRegistry::ListNames() const {
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) names.push_back(name);
-  return names;
-}
-
-bool ControllerRegistry::Contains(const std::string& name) const {
-  return entries_.count(policy::CanonicalSchemeName(name)) > 0;
-}
-
-StatusOr<ControllerRegistry::Entry> ControllerRegistry::Find(
-    const std::string& name) const {
-  const auto it = entries_.find(policy::CanonicalSchemeName(name));
-  if (it == entries_.end()) {
-    return Status::NotFound("unknown controller \"" + name +
-                            "\"; registered controllers: " +
-                            JoinComma(ListNames()));
-  }
-  return it->second;
-}
-
-StatusOr<ControllerInfo> ControllerRegistry::Info(
-    const std::string& name) const {
-  auto entry = Find(name);
-  if (!entry.ok()) return entry.status();
-  return entry->info;
-}
-
-StatusOr<std::unique_ptr<FleetController>> ControllerRegistry::Build(
-    const std::string& name, const KnobMap& overrides) const {
-  auto entry = Find(name);
-  if (!entry.ok()) return entry.status();
-  KnobMap knobs = entry->info.knobs;
-  for (const auto& [knob, value] : overrides) {
-    const auto it = knobs.find(knob);
-    if (it == knobs.end()) {
-      std::vector<std::string> declared;
-      declared.reserve(knobs.size());
-      for (const auto& [k, v] : knobs) declared.push_back(k);
-      return Status::InvalidArgument(
-          "controller " + entry->info.name + " has no knob \"" + knob +
-          "\"; declared knobs: " +
-          (declared.empty() ? "(none)" : JoinComma(declared)));
-    }
-    it->second = value;
-  }
-  return entry->builder(knobs);
 }
 
 }  // namespace kairos::control

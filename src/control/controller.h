@@ -4,8 +4,8 @@
 // drop stale workload statistics (monitor reset). The paper's Kairos
 // reacts to workload change by re-reading the query monitor and
 // replanning; this subsystem generalizes the single hardwired trigger
-// (a fixed reallocation timer) into registry-selected controllers, the
-// same pattern PolicyRegistry / PlannerRegistry / AllocatorRegistry use:
+// (a fixed reallocation timer) into controllers selected by name from a
+// common/registry.h Registry, like every other strategy plane:
 //
 //   * PERIODIC  — fire a reallocation every period_s (the pre-control-
 //                 plane Fleet::ServeAll behavior, reproduced bit for bit);
@@ -26,25 +26,19 @@
 // serve_threads value (asserted by tests/control_test.cc).
 #pragma once
 
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/status.h"
+#include "common/registry.h"
 #include "common/time.h"
-#include "policy/registry.h"  // KnobMap + CanonicalSchemeName
-#include "serving/engine.h"   // WindowedMetrics
+#include "serving/engine.h"  // WindowedMetrics
 
 namespace kairos::control {
 
-/// Controllers reuse the policy registry's knob convention: named numeric
-/// tunables, booleans encoded as 0.0 / 1.0.
-using policy::KnobMap;
+/// Named numeric tunables, booleans encoded as 0.0 / 1.0.
+using kairos::KnobMap;
 
 /// ControlAction::model value meaning "the whole fleet".
 inline constexpr std::size_t kAllModels =
@@ -225,66 +219,24 @@ class FleetController {
   virtual std::vector<ControlAction> Decide(const FleetTelemetry&) = 0;
 };
 
-/// Registration-time description of one controller.
-struct ControllerInfo {
-  std::string name;     ///< canonical name, e.g. "QOS" (upper-cased)
-  std::string summary;  ///< one-line description for listings
-  KnobMap knobs;        ///< supported knob names with their defaults
-};
-
-/// Builds a controller from a *complete* knob map (defaults merged with
-/// the caller's overrides). kInvalidArgument for an out-of-range value.
-using ControllerBuilder =
-    std::function<StatusOr<std::unique_ptr<FleetController>>(
-        const KnobMap& knobs)>;
-
-/// Process-wide name -> controller table, mirroring PolicyRegistry:
-/// static registrars populate it, lookup is case-insensitive, unknown
-/// names come back as kNotFound listing the alternatives.
-class ControllerRegistry {
+/// Process-wide name -> controller table (common/registry.h): static
+/// registrars populate it, lookup is case-insensitive, and a builder
+/// receives the complete knob map. kInvalidArgument for an out-of-range
+/// knob value.
+class ControllerRegistry : public Registry<FleetController> {
  public:
-  static ControllerRegistry& Global();
-
-  Status Register(ControllerInfo info, ControllerBuilder builder);
-
-  /// Canonical controller names, sorted alphabetically.
-  std::vector<std::string> ListNames() const;
-
-  bool Contains(const std::string& name) const;
-
-  /// Registration info (canonical name, summary, knobs).
-  StatusOr<ControllerInfo> Info(const std::string& name) const;
-
-  /// Builds a controller by (case-insensitive) name. `overrides` may set
-  /// any subset of the declared knobs; an undeclared knob name or an
-  /// out-of-range value is kInvalidArgument.
-  StatusOr<std::unique_ptr<FleetController>> Build(
-      const std::string& name, const KnobMap& overrides = {}) const;
+  static ControllerRegistry& Global() {
+    static ControllerRegistry* registry = new ControllerRegistry();
+    return *registry;
+  }
 
  private:
-  struct Entry {
-    ControllerInfo info;
-    ControllerBuilder builder;
-  };
-
-  StatusOr<Entry> Find(const std::string& name) const;
-
-  std::map<std::string, Entry> entries_;  ///< keyed by canonical name
+  ControllerRegistry() : Registry("controller") {}
 };
 
-/// Static-initialization helper, same pattern as PolicyRegistrar.
-class ControllerRegistrar {
- public:
-  ControllerRegistrar(ControllerInfo info, ControllerBuilder builder) {
-    const Status status = ControllerRegistry::Global().Register(
-        std::move(info), std::move(builder));
-    if (!status.ok()) {
-      std::fprintf(stderr, "ControllerRegistrar: %s\n",
-                   status.ToString().c_str());
-      std::abort();
-    }
-  }
-};
+using ControllerInfo = RegistryInfo;
+using ControllerBuilder = ControllerRegistry::Builder;
+using ControllerRegistrar = Registrar<ControllerRegistry>;
 
 }  // namespace kairos::control
 

@@ -9,7 +9,6 @@
 
 #include "common/parallel.h"
 #include "common/strings.h"
-#include "policy/registry.h"
 
 namespace kairos::core {
 namespace {
@@ -265,62 +264,5 @@ const AllocatorRegistrar kMarginal(
     [] { return std::make_unique<MarginalAllocator>(); });
 
 }  // namespace
-
-AllocatorRegistry& AllocatorRegistry::Global() {
-  static AllocatorRegistry* registry = new AllocatorRegistry();
-  return *registry;
-}
-
-Status AllocatorRegistry::Register(
-    std::string name, std::string summary,
-    std::function<std::unique_ptr<BudgetAllocator>()> make) {
-  const std::string canonical = policy::CanonicalSchemeName(name);
-  if (canonical.empty()) {
-    return Status::InvalidArgument("allocator registration with empty name");
-  }
-  if (make == nullptr) {
-    return Status::InvalidArgument("allocator " + canonical +
-                                   " registered without a factory");
-  }
-  const auto [it, inserted] = entries_.emplace(
-      canonical, Entry{std::move(summary), std::move(make)});
-  if (!inserted) {
-    return Status::InvalidArgument("allocator " + it->first +
-                                   " registered twice");
-  }
-  return Status::Ok();
-}
-
-std::vector<std::string> AllocatorRegistry::ListNames() const {
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) names.push_back(name);
-  return names;
-}
-
-bool AllocatorRegistry::Contains(const std::string& name) const {
-  return entries_.count(policy::CanonicalSchemeName(name)) > 0;
-}
-
-StatusOr<std::string> AllocatorRegistry::Summary(const std::string& name) const {
-  const auto it = entries_.find(policy::CanonicalSchemeName(name));
-  if (it == entries_.end()) {
-    return Status::NotFound("unknown allocator \"" + name +
-                            "\"; registered allocators: " +
-                            JoinComma(ListNames()));
-  }
-  return it->second.summary;
-}
-
-StatusOr<std::unique_ptr<BudgetAllocator>> AllocatorRegistry::Build(
-    const std::string& name) const {
-  const auto it = entries_.find(policy::CanonicalSchemeName(name));
-  if (it == entries_.end()) {
-    return Status::NotFound("unknown allocator \"" + name +
-                            "\"; registered allocators: " +
-                            JoinComma(ListNames()));
-  }
-  return it->second.make();
-}
 
 }  // namespace kairos::core

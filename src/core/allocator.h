@@ -1,7 +1,7 @@
 // Budget-allocation strategies for the multi-model Fleet: given one global
 // $/hr envelope and per-model floors/ceilings/priors, decide each model's
 // share. Strategies are interchangeable objects selected by name from the
-// AllocatorRegistry (same pattern as PolicyRegistry / PlannerRegistry):
+// AllocatorRegistry (common/registry.h, like every strategy plane):
 //
 //   * STATIC   — the weight-proportional split (PR 1 behavior);
 //   * MARGINAL — iterative water-filling on marginal QPS per dollar,
@@ -13,16 +13,13 @@
 // concurrently through common/parallel.h.
 #pragma once
 
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/status.h"
+#include "common/registry.h"
 
 namespace kairos::core {
 
@@ -81,50 +78,21 @@ class BudgetAllocator {
       const AllocationProblem& problem) const = 0;
 };
 
-/// Process-wide name -> allocator table, mirroring PlannerRegistry: static
-/// registrars populate it, lookup is case-insensitive, unknown names come
-/// back as kNotFound listing the alternatives.
-class AllocatorRegistry {
+/// Process-wide name -> allocator table (common/registry.h): static
+/// registrars populate it and lookup is case-insensitive. Allocators take
+/// no knobs.
+class AllocatorRegistry : public Registry<BudgetAllocator> {
  public:
-  static AllocatorRegistry& Global();
-
-  Status Register(std::string name, std::string summary,
-                  std::function<std::unique_ptr<BudgetAllocator>()> make);
-
-  /// Canonical allocator names, sorted alphabetically.
-  std::vector<std::string> ListNames() const;
-
-  bool Contains(const std::string& name) const;
-
-  /// One-line description of an allocator.
-  StatusOr<std::string> Summary(const std::string& name) const;
-
-  /// Builds an allocator by (case-insensitive) name.
-  StatusOr<std::unique_ptr<BudgetAllocator>> Build(
-      const std::string& name) const;
+  static AllocatorRegistry& Global() {
+    static AllocatorRegistry* registry = new AllocatorRegistry();
+    return *registry;
+  }
 
  private:
-  struct Entry {
-    std::string summary;
-    std::function<std::unique_ptr<BudgetAllocator>()> make;
-  };
-  std::map<std::string, Entry> entries_;  ///< keyed by canonical name
+  AllocatorRegistry() : Registry("allocator") {}
 };
 
-/// Static-initialization helper, same pattern as PlannerRegistrar.
-class AllocatorRegistrar {
- public:
-  AllocatorRegistrar(std::string name, std::string summary,
-                     std::function<std::unique_ptr<BudgetAllocator>()> make) {
-    const Status status = AllocatorRegistry::Global().Register(
-        std::move(name), std::move(summary), std::move(make));
-    if (!status.ok()) {
-      std::fprintf(stderr, "AllocatorRegistrar: %s\n",
-                   status.ToString().c_str());
-      std::abort();
-    }
-  }
-};
+using AllocatorRegistrar = Registrar<AllocatorRegistry>;
 
 }  // namespace kairos::core
 

@@ -14,7 +14,6 @@
 #include "common/strings.h"
 #include "control/controllers.h"
 #include "latency/model_zoo.h"
-#include "policy/registry.h"
 #include "rpc/netem.h"
 #include "sim/simulator.h"
 #include "workload/query_source.h"
@@ -39,7 +38,7 @@ StatusOr<double> MinBasePrice(const cloud::Catalog& catalog) {
 /// Builds a named per-model trace; nullptr for "" (caller-provided mix).
 StatusOr<std::unique_ptr<workload::BatchDistribution>> MakeTrace(
     const std::string& name) {
-  const std::string canonical = policy::CanonicalSchemeName(name);
+  const std::string canonical = CanonicalName(name);
   if (canonical.empty()) {
     return std::unique_ptr<workload::BatchDistribution>(nullptr);
   }
@@ -81,6 +80,31 @@ Status WireEvaluator(const Kairos& session,
     return session.MeasureThroughput(config, mix, eval_options).qps;
   };
   return Status::Ok();
+}
+
+/// The N-1 core budget of one model (DESIGN.md Sec. 11), shared by the
+/// initial deployment and every in-serve replan so the two cannot drift.
+struct CoreBudget {
+  std::size_t domains = 1;   ///< failure domains, >= 1
+  bool n_minus_one = false;  ///< plan the core, then PadForDomainLoss
+  double budget = 0.0;       ///< what the core is planned inside, $/hr
+};
+
+/// An N-1 sized model plans its core inside (d-1)/d of `share` — but
+/// never below its floor (the cheapest feasible deployment), so a small
+/// share shrunk by (d-1)/d cannot turn a feasible model infeasible.
+/// Any other model plans inside the whole share.
+CoreBudget CoreBudgetFor(const FleetModelOptions& model, double share,
+                         double floor) {
+  CoreBudget core;
+  core.domains = std::max<std::size_t>(model.failure_domains, 1);
+  core.n_minus_one = model.plan_n_minus_one && core.domains >= 2;
+  core.budget = core.n_minus_one
+                    ? std::max(share * static_cast<double>(core.domains - 1) /
+                                   static_cast<double>(core.domains),
+                               std::min(share, floor))
+                    : share;
+  return core;
 }
 
 /// Chaos-aware N-1 padding (DESIGN.md Sec. 11). Instances are assigned
@@ -207,7 +231,7 @@ StatusOr<Fleet> Fleet::Create(const cloud::Catalog& catalog,
     // own: ObserveMix / MeasureAll fall back to the caller-provided mix
     // (nullptr entry), and ServeAll replays the file.
     std::unique_ptr<workload::BatchDistribution> mix;
-    if (IsFileBackedTrace(policy::CanonicalSchemeName(m.trace))) {
+    if (IsFileBackedTrace(CanonicalName(m.trace))) {
       if (m.trace_path.empty()) {
         return Status::InvalidArgument(
             "model " + serve_name(m) + ": trace \"" + m.trace +
@@ -592,24 +616,16 @@ StatusOr<FleetServeResult> Fleet::ServeAll(const FleetPlan& plan,
   for (std::size_t j = 0; j < n; ++j) {
     const std::size_t i = indices[j];
     cloud::Config config = plan.models[j].outcome.config;
-    const std::size_t domains =
-        std::max<std::size_t>(model_options_[i].failure_domains, 1);
-    if (model_options_[i].plan_n_minus_one && domains >= 2) {
-      // Chaos-aware N-1 sizing (DESIGN.md Sec. 11): re-plan the core
-      // inside (d-1)/d of the share, then pad each type so losing the
-      // largest failure domain leaves the core intact. replan_model
-      // below applies the same rule, so in-serve replans keep the
-      // deployment N-1 sized.
-      const double share = plan.models[j].budget_per_hour;
-      // The core never plans below the model's floor (the cheapest
-      // feasible deployment) — a small share shrunk by (d-1)/d must not
-      // turn an otherwise feasible model infeasible.
-      const double core_budget =
-          std::max(share * static_cast<double>(domains - 1) /
-                       static_cast<double>(domains),
-                   std::min(share, floors_[i]));
+    const double share = plan.models[j].budget_per_hour;
+    const CoreBudget core_budget =
+        CoreBudgetFor(model_options_[i], share, floors_[i]);
+    if (core_budget.n_minus_one) {
+      // Chaos-aware N-1 sizing: re-plan the core inside its core budget,
+      // then pad each type so losing the largest failure domain leaves
+      // the core intact. replan_model below applies the same rule, so
+      // in-serve replans keep the deployment N-1 sized.
       PlannerContext ctx{&catalog_, &sessions_[i].truth(),
-                         sessions_[i].qos_ms(), core_budget};
+                         sessions_[i].qos_ms(), core_budget.budget};
       PlanRequest request;
       request.monitor = &sessions_[i].monitor();
       request.search = options.search;
@@ -626,7 +642,8 @@ StatusOr<FleetServeResult> Fleet::ServeAll(const FleetPlan& plan,
         return Status(core.status().code(),
                       "model " + names_[i] + ": " + core.status().message());
       }
-      config = PadForDomainLoss(core->config, domains, share, catalog_);
+      config = PadForDomainLoss(core->config, core_budget.domains, share,
+                                catalog_);
     }
     auto runtime = Deploy(names_[i], config);
     if (!runtime.ok()) return runtime.status();
@@ -637,7 +654,7 @@ StatusOr<FleetServeResult> Fleet::ServeAll(const FleetPlan& plan,
     engine_options.run.keep_latencies = options.keep_latencies;
     engine_options.admission = options.admission;
     engine_options.launch_lag_s = options.launch_lag_s;
-    engine_options.failure_domains = domains;
+    engine_options.failure_domains = core_budget.domains;
     engine_options.seed = options_.seed + 1000003 * (j + 1);
     clocks.push_back(std::make_unique<sim::Simulator>());
     auto engine = runtime->MakeEngine(engine_options, clocks.back().get());
@@ -645,7 +662,7 @@ StatusOr<FleetServeResult> Fleet::ServeAll(const FleetPlan& plan,
 
     workload::QuerySourceSpec source_spec;
     const std::string trace_name =
-        policy::CanonicalSchemeName(model_options_[i].trace);
+        CanonicalName(model_options_[i].trace);
     if (trace_name == "STREAM") {
       source_spec.source = "STREAM";
       source_spec.path = model_options_[i].trace_path;
@@ -860,19 +877,12 @@ StatusOr<FleetServeResult> Fleet::ServeAll(const FleetPlan& plan,
   // paths cannot drift.
   auto replan_model = [&](std::size_t j, double budget) -> Status {
     const Kairos& session = sessions_[indices[j]];
-    // N-1 sized models re-plan their core inside (d-1)/d of the share
-    // and pad afterwards — the same rule the initial deployment used.
-    const std::size_t domains =
-        std::max<std::size_t>(model_options_[indices[j]].failure_domains, 1);
-    const bool n_minus_one =
-        model_options_[indices[j]].plan_n_minus_one && domains >= 2;
-    const double core_budget =
-        n_minus_one ? std::max(budget * static_cast<double>(domains - 1) /
-                                   static_cast<double>(domains),
-                               std::min(budget, floors_[indices[j]]))
-                    : budget;
+    // N-1 sized models re-plan their core and pad afterwards — the same
+    // rule the initial deployment used.
+    const CoreBudget core_budget =
+        CoreBudgetFor(model_options_[indices[j]], budget, floors_[indices[j]]);
     PlannerContext ctx{&catalog_, &session.truth(), session.qos_ms(),
-                       core_budget};
+                       core_budget.budget};
     PlanRequest request;
     request.monitor = plan_monitors[j];
     request.search = options.search;
@@ -923,9 +933,10 @@ StatusOr<FleetServeResult> Fleet::ServeAll(const FleetPlan& plan,
                         outcome.status().message());
     }
     const Status reconfigured = engines[j]->Reconfigure(
-        n_minus_one ? PadForDomainLoss(outcome->config, domains, budget,
-                                       catalog_)
-                    : outcome->config);
+        core_budget.n_minus_one
+            ? PadForDomainLoss(outcome->config, core_budget.domains, budget,
+                               catalog_)
+            : outcome->config);
     if (!reconfigured.ok()) return reconfigured;
     // A model already moved to the live window was just replanned
     // against it: the window's current mean is the new planning-time

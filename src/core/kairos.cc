@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "policy/registry.h"
-
 namespace kairos::core {
 
 Kairos::Kairos(const cloud::Catalog& catalog, const std::string& model,
@@ -58,22 +56,6 @@ StatusOr<Kairos> Kairos::Create(const cloud::Catalog& catalog,
     return Status::InvalidArgument("qos_scale must be positive");
   }
   return Kairos(catalog, model, options);
-}
-
-serving::PolicyFactory MakePolicyFactory(const std::string& name,
-                                         int drs_threshold) {
-  policy::KnobMap knobs;
-  if (policy::CanonicalSchemeName(name) == "DRS") {
-    knobs["threshold"] = static_cast<double>(drs_threshold);
-  }
-  auto factory = PolicyRegistry::Global().MakeFactory(name, knobs);
-  if (!factory.ok()) {
-    // Pre-registry callers expect the throwing contract; the message is
-    // the registry Status rendered by the shared formatter, so shim and
-    // registry callers read identical error text ("NOT_FOUND: ...").
-    throw std::out_of_range(factory.status().ToString());
-  }
-  return *std::move(factory);
 }
 
 workload::QueryMonitor MonitorFromMix(const workload::BatchDistribution& mix,

@@ -8,23 +8,25 @@
 //   * MonitorFromMix — warm a QueryMonitor from a batch distribution, the
 //                     paper's query-monitoring warmup.
 //
-// Distribution schemes are built by name through kairos::PolicyRegistry
-// (policy/registry.h: KAIROS, RIBBON, DRS, CLKWRK, PARTITIONED),
-// planning strategies through kairos::PlannerRegistry
+// Strategies are built by name through registries that share one
+// contract (common/registry.h): distribution schemes through
+// kairos::PolicyRegistry (policy/registry.h: KAIROS, RIBBON, DRS, CLKWRK,
+// PARTITIONED), planning strategies through kairos::PlannerRegistry
 // (core/planner_backend.h: KAIROS, KAIROS+, HOMOGENEOUS, BRUTE-FORCE),
 // fleet budget splitting through kairos::AllocatorRegistry
 // (core/allocator.h: STATIC, MARGINAL), streaming query sources through
-// kairos::QuerySourceRegistry (workload/query_source.h: TRACE, POISSON,
-// UNIFORM, GAUSSIAN, PRODUCTION), fleet control-plane strategies through
-// kairos::ControllerRegistry (control/controller.h: PERIODIC, QOS,
-// BACKLOG, DRIFT, COMPOSITE), and multi-model serving under one
-// budget through kairos::Fleet (core/fleet.h). Online serving is the
-// serving::Engine (serving/engine.h, built via Runtime::MakeEngine or
-// co-simulated fleet-wide via Fleet::ServeAll); Runtime::Serve remains
-// as the batch compatibility shim. MakePolicyFactory below survives as
-// a deprecated shim over the policy registry, and
-// QueryMonitor::Snapshot() now returns StatusOr instead of throwing —
-// the same Status migration, applied to the monitoring surface.
+// kairos::QuerySourceRegistry (workload/query_source.h: TRACE, STREAM,
+// POISSON, UNIFORM, GAUSSIAN, PRODUCTION), fleet control-plane strategies
+// through kairos::ControllerRegistry (control/controller.h: PERIODIC,
+// QOS, BACKLOG, DRIFT, SHED, FAILOVER, COMPOSITE), and fault injectors
+// through kairos::ChaosRegistry (chaos/injector.h: SPOT_PREEMPTION,
+// DOMAIN_OUTAGE, INSTANCE_DEATH, NET_DEGRADE, COMPOSITE). Multi-model
+// serving under one budget goes through kairos::Fleet (core/fleet.h).
+// Online serving is the serving::Engine (serving/engine.h, built via
+// Runtime::MakeEngine or co-simulated fleet-wide via Fleet::ServeAll);
+// Runtime::Serve remains as the batch compatibility shim.
+// QueryMonitor::Snapshot() returns StatusOr instead of throwing, like
+// the rest of the public API.
 #pragma once
 
 #include <memory>
@@ -106,18 +108,6 @@ class Kairos {
   KairosOptions options_;
   workload::QueryMonitor monitor_;
 };
-
-/// Deprecated shim over PolicyRegistry::MakeFactory: builds a registered
-/// distribution scheme (KAIROS, RIBBON, DRS, CLKWRK, PARTITIONED) by
-/// case-insensitive name; `drs_threshold` is forwarded as DRS's
-/// "threshold" knob. Kept source-compatible with the pre-registry API:
-/// throws std::out_of_range for unknown names, with a message listing
-/// the registered schemes. New code should call
-/// PolicyRegistry::Global().MakeFactory() and handle the Status — and
-/// knobs beyond DRS's threshold (e.g. PARTITIONED's "partitions") are
-/// only reachable through the registry's KnobMap, not through this shim.
-serving::PolicyFactory MakePolicyFactory(const std::string& name,
-                                         int drs_threshold = 200);
 
 /// Fills a fresh QueryMonitor with `count` draws from `mix`.
 workload::QueryMonitor MonitorFromMix(const workload::BatchDistribution& mix,

@@ -5,7 +5,6 @@
 
 #include "cloud/config_space.h"
 #include "common/strings.h"
-#include "policy/registry.h"
 
 namespace kairos::core {
 namespace {
@@ -214,63 +213,6 @@ StatusOr<PlannerOutcome> PlannerBackend::Probe(
   // makes greedy allocation abandon a model that still scales).
   outcome->expected_qps = outcome->plan->ranked.front().upper_bound;
   return outcome;
-}
-
-PlannerRegistry& PlannerRegistry::Global() {
-  static PlannerRegistry* registry = new PlannerRegistry();
-  return *registry;
-}
-
-Status PlannerRegistry::Register(
-    std::string name, std::string summary,
-    std::function<std::unique_ptr<PlannerBackend>()> make) {
-  const std::string canonical = policy::CanonicalSchemeName(name);
-  if (canonical.empty()) {
-    return Status::InvalidArgument("planner registration with empty name");
-  }
-  if (make == nullptr) {
-    return Status::InvalidArgument("planner " + canonical +
-                                   " registered without a factory");
-  }
-  const auto [it, inserted] = entries_.emplace(
-      canonical, Entry{std::move(summary), std::move(make)});
-  if (!inserted) {
-    return Status::InvalidArgument("planner " + it->first +
-                                   " registered twice");
-  }
-  return Status::Ok();
-}
-
-std::vector<std::string> PlannerRegistry::ListNames() const {
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) names.push_back(name);
-  return names;
-}
-
-bool PlannerRegistry::Contains(const std::string& name) const {
-  return entries_.count(policy::CanonicalSchemeName(name)) > 0;
-}
-
-StatusOr<std::string> PlannerRegistry::Summary(const std::string& name) const {
-  const auto it = entries_.find(policy::CanonicalSchemeName(name));
-  if (it == entries_.end()) {
-    return Status::NotFound("unknown planner \"" + name +
-                            "\"; registered planners: " +
-                            JoinComma(ListNames()));
-  }
-  return it->second.summary;
-}
-
-StatusOr<std::unique_ptr<PlannerBackend>> PlannerRegistry::Build(
-    const std::string& name) const {
-  const auto it = entries_.find(policy::CanonicalSchemeName(name));
-  if (it == entries_.end()) {
-    return Status::NotFound("unknown planner \"" + name +
-                            "\"; registered planners: " +
-                            JoinComma(ListNames()));
-  }
-  return it->second.make();
 }
 
 }  // namespace kairos::core

@@ -5,16 +5,10 @@
 // surface regardless of which algorithm does the picking.
 #pragma once
 
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
-#include "common/status.h"
+#include "common/registry.h"
 #include "core/planner.h"
 #include "search/search.h"
 #include "workload/monitor.h"
@@ -72,49 +66,21 @@ class PlannerBackend {
                                          const PlanRequest& request) const;
 };
 
-/// Process-wide name -> backend table, mirroring PolicyRegistry: static
-/// registrars populate it, lookup is case-insensitive, unknown names come
-/// back as kNotFound listing the alternatives.
-class PlannerRegistry {
+/// Process-wide name -> backend table (common/registry.h): static
+/// registrars populate it and lookup is case-insensitive. Backends take
+/// no knobs.
+class PlannerRegistry : public Registry<PlannerBackend> {
  public:
-  static PlannerRegistry& Global();
-
-  Status Register(std::string name, std::string summary,
-                  std::function<std::unique_ptr<PlannerBackend>()> make);
-
-  /// Canonical backend names, sorted alphabetically.
-  std::vector<std::string> ListNames() const;
-
-  bool Contains(const std::string& name) const;
-
-  /// One-line description of a backend.
-  StatusOr<std::string> Summary(const std::string& name) const;
-
-  /// Builds a backend by (case-insensitive) name.
-  StatusOr<std::unique_ptr<PlannerBackend>> Build(
-      const std::string& name) const;
+  static PlannerRegistry& Global() {
+    static PlannerRegistry* registry = new PlannerRegistry();
+    return *registry;
+  }
 
  private:
-  struct Entry {
-    std::string summary;
-    std::function<std::unique_ptr<PlannerBackend>()> make;
-  };
-  std::map<std::string, Entry> entries_;  ///< keyed by canonical name
+  PlannerRegistry() : Registry("planner") {}
 };
 
-/// Static-initialization helper, same pattern as PolicyRegistrar.
-class PlannerRegistrar {
- public:
-  PlannerRegistrar(std::string name, std::string summary,
-                   std::function<std::unique_ptr<PlannerBackend>()> make) {
-    const Status status = PlannerRegistry::Global().Register(
-        std::move(name), std::move(summary), std::move(make));
-    if (!status.ok()) {
-      std::fprintf(stderr, "PlannerRegistrar: %s\n", status.ToString().c_str());
-      std::abort();
-    }
-  }
-};
+using PlannerRegistrar = Registrar<PlannerRegistry>;
 
 }  // namespace kairos::core
 

@@ -3,114 +3,34 @@
 // with a knob map of tunables, and callers build policies by name —
 // case-insensitively — without including any concrete policy header.
 // Unknown names and unknown knobs come back as kairos::Status errors that
-// list the valid alternatives, never as exceptions.
+// list the valid alternatives, never as exceptions (common/registry.h).
 #pragma once
 
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
-#include <map>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "common/status.h"
+#include "common/registry.h"
 #include "policy/policy.h"
 
 namespace kairos::policy {
 
-/// Produces a fresh policy instance; identical to serving::PolicyFactory
-/// (systems own their policy), restated here to keep the registry free of
-/// serving-layer includes.
-using PolicyFactory = std::function<std::unique_ptr<Policy>()>;
+using kairos::KnobMap;
+using PolicyInfo = RegistryInfo;
 
-/// Named numeric tunables. Booleans are encoded as 0.0 / 1.0, integers as
-/// their exact double value — one scalar type keeps knob plumbing (CLI
-/// flags, sweep configs) trivial.
-using KnobMap = std::map<std::string, double>;
-
-/// Registration-time description of one scheme.
-struct PolicyInfo {
-  std::string name;     ///< canonical name, e.g. "KAIROS" (upper-cased)
-  std::string summary;  ///< one-line description for listings
-  KnobMap knobs;        ///< supported knob names with their default values
-};
-
-/// Builds a policy from a *complete* knob map (defaults merged with the
-/// caller's overrides; every declared knob is present, no others).
-/// Returns kInvalidArgument for an out-of-range knob *value* — builders
-/// must not throw or silently clamp.
-using PolicyBuilder =
-    std::function<StatusOr<std::unique_ptr<Policy>>(const KnobMap& knobs)>;
-
-/// Process-wide name -> factory table for distribution schemes.
-class PolicyRegistry {
+/// Process-wide name -> builder table for distribution schemes.
+class PolicyRegistry : public Registry<Policy> {
  public:
-  /// The global registry all static registrars populate.
-  static PolicyRegistry& Global();
-
-  /// Registers a scheme. Fails with kInvalidArgument when the (canonical)
-  /// name is empty or already taken.
-  Status Register(PolicyInfo info, PolicyBuilder builder);
-
-  /// Canonical names of every registered scheme, sorted alphabetically.
-  std::vector<std::string> ListNames() const;
-
-  /// Case-insensitive membership test.
-  bool Contains(const std::string& name) const;
-
-  /// Registration info for a scheme (canonical name, summary, knobs).
-  StatusOr<PolicyInfo> Info(const std::string& name) const;
-
-  /// Builds one policy instance. `overrides` may set any subset of the
-  /// scheme's declared knobs; an undeclared knob name or out-of-range
-  /// knob value is kInvalidArgument, an unknown scheme is kNotFound
-  /// listing the registered names.
-  StatusOr<std::unique_ptr<Policy>> Build(const std::string& name,
-                                          const KnobMap& overrides = {}) const;
-
-  /// Same resolution as Build(), packaged as a reusable factory for the
-  /// evaluators that construct one policy per rate trial. The knobs are
-  /// validated here (including a trial build), so the returned factory
-  /// cannot fail.
-  StatusOr<PolicyFactory> MakeFactory(const std::string& name,
-                                      const KnobMap& overrides = {}) const;
+  static PolicyRegistry& Global() {
+    static PolicyRegistry* registry = new PolicyRegistry();
+    return *registry;
+  }
 
  private:
-  struct Entry {
-    PolicyInfo info;
-    PolicyBuilder builder;
-  };
-
-  /// The Entry, or kNotFound naming the alternatives.
-  StatusOr<Entry> Find(const std::string& name) const;
-
-  /// Defaults overlaid with `overrides`; kInvalidArgument on an
-  /// undeclared knob name.
-  static StatusOr<KnobMap> MergeKnobs(const Entry& entry,
-                                      const KnobMap& overrides);
-
-  std::map<std::string, Entry> entries_;  ///< keyed by canonical name
+  PolicyRegistry() : Registry("scheme") {}
 };
 
-/// Upper-cases ASCII, the registry's canonical form ("kairos" -> "KAIROS").
-std::string CanonicalSchemeName(const std::string& name);
-
-/// Static-initialization helper: each policy .cc defines one at namespace
-/// scope to self-register into PolicyRegistry::Global().
-class PolicyRegistrar {
- public:
-  PolicyRegistrar(PolicyInfo info, PolicyBuilder builder) {
-    // Registration conflicts at startup are programming errors; surface
-    // them loudly rather than silently shadowing a scheme.
-    const Status status =
-        PolicyRegistry::Global().Register(std::move(info), std::move(builder));
-    if (!status.ok()) {
-      std::fprintf(stderr, "PolicyRegistrar: %s\n", status.ToString().c_str());
-      std::abort();
-    }
-  }
-};
+/// Produces a fresh policy instance; the same type as
+/// serving::PolicyFactory (systems own their policy).
+using PolicyFactory = PolicyRegistry::Factory;
+using PolicyBuilder = PolicyRegistry::Builder;
+using PolicyRegistrar = Registrar<PolicyRegistry>;
 
 }  // namespace kairos::policy
 

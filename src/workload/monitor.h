@@ -41,9 +41,7 @@ class QueryMonitor {
   /// Snapshot of the window as an empirical distribution.
   /// kFailedPrecondition when the window is empty (warm the monitor
   /// first). Until PR 5 this threw std::logic_error; it now follows the
-  /// Status-based error convention of the rest of the public API (the
-  /// same migration MakePolicyFactory -> PolicyRegistry::Build went
-  /// through — see the deprecation note in core/kairos.h).
+  /// Status-based error convention of the rest of the public API.
   StatusOr<EmpiricalBatches> Snapshot() const;
 
   /// Marks `reference_mean` as the planning-time batch mix that

@@ -1,10 +1,6 @@
 #include "workload/query_source.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
-
-#include "common/strings.h"
 
 namespace kairos::workload {
 namespace {
@@ -164,72 +160,6 @@ void StreamingTraceSource::Reset() {
   const Status rewound = reader_.Rewind();
   status_ = rewound;  // clears a sticky parse error on a successful rewind
   last_arrival_ = 0.0;
-}
-
-QuerySourceRegistry& QuerySourceRegistry::Global() {
-  static QuerySourceRegistry* registry = new QuerySourceRegistry();
-  return *registry;
-}
-
-Status QuerySourceRegistry::Register(std::string name, std::string summary,
-                                     QuerySourceBuilder builder) {
-  const std::string canonical = CanonicalName(name);
-  if (canonical.empty()) {
-    return Status::InvalidArgument("query source name must be non-empty");
-  }
-  if (entries_.count(canonical) > 0) {
-    return Status::InvalidArgument("query source " + canonical +
-                                   " is already registered");
-  }
-  entries_[canonical] = Entry{std::move(summary), std::move(builder)};
-  return Status::Ok();
-}
-
-std::vector<std::string> QuerySourceRegistry::ListNames() const {
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) names.push_back(name);
-  return names;  // std::map iterates in sorted order
-}
-
-bool QuerySourceRegistry::Contains(const std::string& name) const {
-  return entries_.count(CanonicalName(name)) > 0;
-}
-
-StatusOr<std::string> QuerySourceRegistry::Summary(
-    const std::string& name) const {
-  const auto it = entries_.find(CanonicalName(name));
-  if (it == entries_.end()) {
-    return Status::NotFound("unknown query source \"" + name +
-                            "\"; registered sources: " +
-                            JoinComma(ListNames()));
-  }
-  return it->second.summary;
-}
-
-StatusOr<std::unique_ptr<QuerySource>> QuerySourceRegistry::Build(
-    const QuerySourceSpec& spec) const {
-  const auto it = entries_.find(CanonicalName(spec.source));
-  if (it == entries_.end()) {
-    return Status::NotFound("unknown query source \"" + spec.source +
-                            "\"; registered sources: " +
-                            JoinComma(ListNames()));
-  }
-  return it->second.builder(spec);
-}
-
-QuerySourceRegistrar::QuerySourceRegistrar(std::string name,
-                                           std::string summary,
-                                           QuerySourceBuilder builder) {
-  // Registration conflicts at startup are programming errors; surface
-  // them loudly rather than silently shadowing a source.
-  const Status status = QuerySourceRegistry::Global().Register(
-      std::move(name), std::move(summary), std::move(builder));
-  if (!status.ok()) {
-    std::fprintf(stderr, "QuerySourceRegistrar: %s\n",
-                 status.ToString().c_str());
-    std::abort();
-  }
 }
 
 }  // namespace kairos::workload

@@ -8,7 +8,7 @@
 //
 // Sources are built by name through the QuerySourceRegistry (TRACE,
 // STREAM, POISSON, UNIFORM, GAUSSIAN, PRODUCTION) with Status-based
-// errors, the same pattern as the policy / planner / allocator registries;
+// errors, the common/registry.h contract every strategy plane shares;
 // programmatic injection goes through serving::Engine::Submit instead.
 // STREAM is the million-user scale path: it pulls queries from a trace CSV
 // on disk in bounded-memory chunks (DESIGN.md Sec. 12) instead of
@@ -16,15 +16,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
+#include "common/registry.h"
 #include "common/rng.h"
-#include "common/status.h"
 #include "workload/trace.h"
 #include "workload/trace_io.h"
 
@@ -147,50 +144,30 @@ struct QuerySourceSpec {
   std::size_t chunk_bytes = 65536;
 };
 
-/// Builds one source from a validated spec.
-using QuerySourceBuilder = std::function<StatusOr<std::unique_ptr<QuerySource>>(
-    const QuerySourceSpec& spec)>;
-
-/// Process-wide name -> source-builder table, mirroring PolicyRegistry:
-/// static registrars populate it, lookup is case-insensitive, unknown
-/// names come back as kNotFound listing the alternatives.
-class QuerySourceRegistry {
+/// Process-wide name -> source-builder table (common/registry.h): static
+/// registrars populate it and lookup is case-insensitive. The builder
+/// receives the whole spec, untouched.
+class QuerySourceRegistry : public Registry<QuerySource, QuerySourceSpec> {
  public:
-  static QuerySourceRegistry& Global();
+  static QuerySourceRegistry& Global() {
+    static QuerySourceRegistry* registry = new QuerySourceRegistry();
+    return *registry;
+  }
 
-  /// Fails with kInvalidArgument when the (canonical) name is empty or
-  /// already taken.
-  Status Register(std::string name, std::string summary,
-                  QuerySourceBuilder builder);
-
-  /// Canonical source names, sorted alphabetically.
-  std::vector<std::string> ListNames() const;
-
-  bool Contains(const std::string& name) const;
-
-  /// One-line description of a source.
-  StatusOr<std::string> Summary(const std::string& name) const;
-
-  /// Builds a source. kNotFound for an unknown spec.source (listing the
-  /// registered names), kInvalidArgument for bad parameters (rate <= 0,
-  /// empty TRACE trace).
+  /// Builds the source spec.source names. kNotFound for an unknown name
+  /// (listing the registered names), kInvalidArgument for bad parameters
+  /// (rate <= 0, empty TRACE trace).
   StatusOr<std::unique_ptr<QuerySource>> Build(
-      const QuerySourceSpec& spec) const;
+      const QuerySourceSpec& spec) const {
+    return Registry::Build(spec.source, spec);
+  }
 
  private:
-  struct Entry {
-    std::string summary;
-    QuerySourceBuilder builder;
-  };
-  std::map<std::string, Entry> entries_;  ///< keyed by canonical name
+  QuerySourceRegistry() : Registry("query source") {}
 };
 
-/// Static-initialization helper, same pattern as PolicyRegistrar.
-class QuerySourceRegistrar {
- public:
-  QuerySourceRegistrar(std::string name, std::string summary,
-                       QuerySourceBuilder builder);
-};
+using QuerySourceBuilder = QuerySourceRegistry::Builder;
+using QuerySourceRegistrar = Registrar<QuerySourceRegistry>;
 
 }  // namespace kairos::workload
 

@@ -121,32 +121,6 @@ TEST(PolicyRegistryTest, FactoryProducesFreshInstances) {
   EXPECT_EQ(a->Name(), "KAIROS");
 }
 
-TEST(MakePolicyFactoryShimTest, StillThrowsButNamesAlternatives) {
-  try {
-    core::MakePolicyFactory("FCFS++");
-    FAIL() << "expected std::out_of_range";
-  } catch (const std::out_of_range& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("KAIROS"), std::string::npos) << message;
-    EXPECT_NE(message.find("RIBBON"), std::string::npos) << message;
-  }
-}
-
-TEST(MakePolicyFactoryShimTest, ErrorTextIsTheSharedStatusFormatting) {
-  // The deprecated shim must not compose bespoke throw text: its message
-  // is exactly the registry Status rendered by Status::ToString, so shim
-  // and registry callers read the same diagnostics.
-  const std::string expected =
-      PolicyRegistry::Global().MakeFactory("FCFS++").status().ToString();
-  ASSERT_EQ(expected.rfind("NOT_FOUND: ", 0), 0u) << expected;
-  try {
-    core::MakePolicyFactory("FCFS++");
-    FAIL() << "expected std::out_of_range";
-  } catch (const std::out_of_range& e) {
-    EXPECT_EQ(std::string(e.what()), expected);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // PlannerRegistry / PlannerBackend
 // ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@
 #include <stdexcept>
 #include <string>
 
-#include "assign/brute_force.h"
-#include "assign/hungarian.h"
 #include "assign/jv.h"
 #include "common/rng.h"
+#include "reference_brute_force.h"
+#include "reference_hungarian.h"
 #include "reference_jv.h"
 
 namespace kairos::assign {
@@ -93,7 +93,7 @@ TEST_P(JvVsBruteForce, OptimalCostMatches) {
   for (int rep = 0; rep < 20; ++rep) {
     const Matrix cost = RandomCost(m, n, rng);
     const AssignmentResult jv = SolveJv(cost);
-    const AssignmentResult bf = SolveBruteForce(cost);
+    const AssignmentResult bf = reference::SolveBruteForce(cost);
     EXPECT_TRUE(IsValidMatching(jv, m, n));
     EXPECT_NEAR(jv.total_cost, bf.total_cost, 1e-9)
         << "shape " << m << "x" << n << " rep " << rep;
@@ -126,7 +126,7 @@ TEST_P(JvVsHungarian, CostsAgreeOnLargerProblems) {
         {30, 33}, {64, 64}}) {
     const Matrix cost = RandomCost(m, n, rng);
     const AssignmentResult jv = SolveJv(cost);
-    const AssignmentResult hu = SolveHungarian(cost);
+    const AssignmentResult hu = reference::SolveHungarian(cost);
     EXPECT_TRUE(IsValidMatching(jv, m, n));
     EXPECT_TRUE(IsValidMatching(hu, m, n));
     EXPECT_NEAR(jv.total_cost, hu.total_cost, 1e-8);
@@ -154,7 +154,7 @@ TEST(JvTest, PenaltyStructureLikeKairos) {
 }
 
 TEST(BruteForceTest, TooLargeThrows) {
-  EXPECT_THROW(SolveBruteForce(Matrix(10, 10, 1.0)), std::invalid_argument);
+  EXPECT_THROW(reference::SolveBruteForce(Matrix(10, 10, 1.0)), std::invalid_argument);
 }
 
 TEST(IsValidMatchingTest, DetectsDuplicateColumns) {

@@ -91,16 +91,6 @@ TEST(KairosFacadeTest, PlanWithEvaluationsReturnsBudgetedConfig) {
   EXPECT_GT(result.best_qps, 0.0);
 }
 
-TEST(MakePolicyFactoryTest, BuildsAllSchemes) {
-  for (const char* name : {"KAIROS", "RIBBON", "DRS", "CLKWRK"}) {
-    const auto factory = MakePolicyFactory(name, 150);
-    const auto policy = factory();
-    ASSERT_NE(policy, nullptr);
-    EXPECT_EQ(policy->Name(), name);
-  }
-  EXPECT_THROW(MakePolicyFactory("FCFS++"), std::out_of_range);
-}
-
 TEST(MonitorFromMixTest, DeterministicForSeed) {
   const auto mix = workload::LogNormalBatches::Production();
   const auto a = MonitorFromMix(mix, 2000, 5);

@@ -723,9 +723,9 @@ TEST(QuerySourceTest, RoundTripEveryRegisteredName) {
     spec.path = trace_path;
     auto source = QuerySourceRegistry::Global().Build(spec);
     ASSERT_TRUE(source.ok()) << name << ": " << source.status().ToString();
-    const auto summary = QuerySourceRegistry::Global().Summary(name);
-    ASSERT_TRUE(summary.ok());
-    EXPECT_FALSE(summary->empty());
+    const auto info = QuerySourceRegistry::Global().Info(name);
+    ASSERT_TRUE(info.ok());
+    EXPECT_FALSE(info->summary.empty());
     for (int i = 0; i < 4; ++i) {
       const auto emission = (*source)->Next(rng);
       ASSERT_TRUE(emission.has_value()) << name << " emission " << i;
@@ -748,6 +748,20 @@ TEST(QuerySourceTest, UnknownNameIsNotFoundListingAlternatives) {
   EXPECT_NE(source.status().message().find("TRACE"), std::string::npos);
   EXPECT_FALSE(QuerySourceRegistry::Global().Contains("WAT"));
   EXPECT_TRUE(QuerySourceRegistry::Global().Contains("poisson"));
+}
+
+TEST(QuerySourceTest, NullBuilderIsRejectedAtRegistration) {
+  // Accepting it would leave an entry whose Build() throws
+  // std::bad_function_call out of a Status-returning API.
+  const Status status = QuerySourceRegistry::Global().Register(
+      "NULL_BUILDER", "a source with no builder",
+      workload::QuerySourceBuilder());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(QuerySourceRegistry::Global().Contains("NULL_BUILDER"));
+  QuerySourceSpec spec;
+  spec.source = "NULL_BUILDER";
+  EXPECT_EQ(QuerySourceRegistry::Global().Build(spec).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(QuerySourceTest, BadParametersAreInvalidArgument) {

@@ -11,6 +11,7 @@
 #include "cloud/config_space.h"
 #include "core/kairos.h"
 #include "oracle/oracle.h"
+#include "policy/registry.h"
 #include "serving/throughput_eval.h"
 
 namespace kairos {
@@ -60,10 +61,10 @@ TEST_P(EndToEnd, KairosDistributorBeatsRibbonOnSameHardware) {
   const auto eval = SmokeEval(plan.ranked.front().upper_bound * 0.5);
   const auto with_kairos = serving::EvaluateConfig(
       catalog_, plan.config, kairos.truth(), qos,
-      core::MakePolicyFactory("KAIROS"), mix_, eval);
+      PolicyRegistry::Global().MakeFactory("KAIROS").value(), mix_, eval);
   const auto with_ribbon = serving::EvaluateConfig(
       catalog_, plan.config, kairos.truth(), qos,
-      core::MakePolicyFactory("RIBBON"), mix_, eval);
+      PolicyRegistry::Global().MakeFactory("RIBBON").value(), mix_, eval);
   EXPECT_GE(with_kairos.qps, with_ribbon.qps * 0.98) << GetParam();
 }
 
@@ -133,10 +134,10 @@ TEST(EndToEndNoise, FivePercentPredictionNoiseDoesNotCollapseThroughput) {
   const auto eval = SmokeEval(plan.ranked.front().upper_bound * 0.5);
   const auto clean_run = serving::EvaluateConfig(
       catalog, plan.config, kairos.truth(), kairos.qos_ms(),
-      core::MakePolicyFactory("KAIROS"), mix, eval);
+      PolicyRegistry::Global().MakeFactory("KAIROS").value(), mix, eval);
   const auto noisy_run = serving::EvaluateConfig(
       catalog, plan.config, kairos.truth(), kairos.qos_ms(),
-      core::MakePolicyFactory("KAIROS"), mix, eval, noisy);
+      PolicyRegistry::Global().MakeFactory("KAIROS").value(), mix, eval, noisy);
   EXPECT_GT(noisy_run.qps, 0.7 * clean_run.qps);
 }
 

@@ -4,6 +4,7 @@
 
 #include "core/kairos.h"
 #include "oracle/oracle.h"
+#include "policy/registry.h"
 #include "serving/throughput_eval.h"
 
 namespace kairos::oracle {
@@ -97,9 +98,12 @@ TEST_P(OracleDominates, AchievedThroughputNeverBeatsOracle) {
   serving::EvalOptions opt;
   opt.queries = 500;
   opt.rate_guess = 30.0;
-  const auto achieved = serving::EvaluateConfig(
-      catalog, config, truth, qos_ms, core::MakePolicyFactory(GetParam(), 150),
-      mix, opt);
+  KnobMap knobs;
+  if (GetParam() == "DRS") knobs["threshold"] = 150.0;
+  const auto factory = PolicyRegistry::Global().MakeFactory(GetParam(), knobs);
+  ASSERT_TRUE(factory.ok()) << factory.status().ToString();
+  const auto achieved = serving::EvaluateConfig(catalog, config, truth,
+                                                qos_ms, *factory, mix, opt);
   const double oracle_qps =
       OracleThroughput(catalog, config, truth, qos_ms, mix, 3000, 99);
   EXPECT_LE(achieved.qps, oracle_qps * 1.05)  // 5% sampling tolerance

@@ -10,6 +10,7 @@
 #include "core/kairos.h"
 #include "oracle/oracle.h"
 #include "policy/policy.h"
+#include "policy/registry.h"
 #include "serving/system.h"
 #include "ub/upper_bound.h"
 #include "workload/mixtures.h"
@@ -162,7 +163,7 @@ TEST_P(UbDominatesExoticMixes, BoundHolds) {
     opt.queries = 400;
     opt.rate_guess = std::max(1.0, 0.5 * bound);
     const auto achieved = serving::EvaluateConfig(
-        catalog, config, truth, qos_ms, core::MakePolicyFactory("KAIROS"),
+        catalog, config, truth, qos_ms, PolicyRegistry::Global().MakeFactory("KAIROS").value(),
         *mix, opt);
     EXPECT_LE(achieved.qps, bound * 1.05)
         << mix->Name() << " " << config.ToString();

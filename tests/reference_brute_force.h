@@ -1,14 +1,20 @@
-#include "assign/brute_force.h"
+// Test-only oracle: exhaustive assignment by enumeration. Visits every
+// matching of min(m, n) pairs and returns the cheapest. Exponential —
+// intended only for matrices with min(m, n) <= ~8.
+#pragma once
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
-namespace kairos::assign {
+#include "assign/assignment.h"
 
-AssignmentResult SolveBruteForce(const Matrix& cost) {
+namespace kairos::assign::reference {
+
+/// Optimal rectangular assignment by enumeration; same contract as SolveJv.
+/// Throws std::invalid_argument when min(rows, cols) > 9 (too large).
+inline AssignmentResult SolveBruteForce(const Matrix& cost) {
   const std::size_t m = cost.rows();
   const std::size_t n = cost.cols();
   AssignmentResult best;
@@ -21,13 +27,9 @@ AssignmentResult SolveBruteForce(const Matrix& cost) {
   best.total_cost = std::numeric_limits<double>::infinity();
 
   if (m <= n) {
-    // Choose an ordered selection of m distinct columns: iterate over
-    // permutations of all n columns but only read the first m — dedupe by
-    // skipping permutations that only shuffle the tail.
-    std::vector<int> cols(n);
-    std::iota(cols.begin(), cols.end(), 0);
+    // Enumerate m-permutations of the n columns recursively, one row at a
+    // time, so no full permutation's tail is shuffled for nothing.
     std::vector<int> chosen(m);
-    // Enumerate m-permutations recursively to avoid the tail-shuffle waste.
     std::vector<bool> used(n, false);
     double running = 0.0;
     auto recurse = [&](auto&& self, std::size_t row) -> void {
@@ -63,4 +65,4 @@ AssignmentResult SolveBruteForce(const Matrix& cost) {
   return best;
 }
 
-}  // namespace kairos::assign
+}  // namespace kairos::assign::reference

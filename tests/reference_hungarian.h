@@ -1,30 +1,36 @@
-#include "assign/hungarian.h"
+// Test-only oracle: the Hungarian (Kuhn–Munkres) assignment solver with
+// potentials. Slower than the JV solver but completely independent code,
+// so the production solver is cross-checked against it on problems too
+// large to enumerate (the paper cites the Hungarian algorithm as the
+// classical baseline of JV, Sec. 5.1).
+#pragma once
 
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <vector>
 
-namespace kairos::assign {
-namespace {
+#include "assign/assignment.h"
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+namespace kairos::assign::reference {
+namespace detail {
 
 // Potential-based Hungarian method for an n x m problem with n <= m,
 // 1-indexed internally (the classical formulation).
-std::vector<int> SolveWide(std::size_t n, std::size_t m,
-                           const std::vector<double>& a) {
+inline std::vector<int> HungarianWide(std::size_t n, std::size_t m,
+                                      const std::vector<double>& a) {
+  constexpr double kInfinity = std::numeric_limits<double>::infinity();
   std::vector<double> u(n + 1, 0.0), v(m + 1, 0.0);
   std::vector<std::size_t> p(m + 1, 0), way(m + 1, 0);
   for (std::size_t i = 1; i <= n; ++i) {
     p[0] = i;
     std::size_t j0 = 0;
-    std::vector<double> minv(m + 1, kInf);
+    std::vector<double> minv(m + 1, kInfinity);
     std::vector<bool> used(m + 1, false);
     do {
       used[j0] = true;
       const std::size_t i0 = p[j0];
-      double delta = kInf;
+      double delta = kInfinity;
       std::size_t j1 = 0;
       for (std::size_t j = 1; j <= m; ++j) {
         if (used[j]) continue;
@@ -61,9 +67,10 @@ std::vector<int> SolveWide(std::size_t n, std::size_t m,
   return col4row;
 }
 
-}  // namespace
+}  // namespace detail
 
-AssignmentResult SolveHungarian(const Matrix& cost) {
+/// Solves min-cost rectangular assignment; same contract as SolveJv.
+inline AssignmentResult SolveHungarian(const Matrix& cost) {
   const std::size_t m = cost.rows();
   const std::size_t n = cost.cols();
   AssignmentResult result;
@@ -77,7 +84,7 @@ AssignmentResult SolveHungarian(const Matrix& cost) {
   }
 
   if (m <= n) {
-    const std::vector<int> col4row = SolveWide(m, n, cost.data());
+    const std::vector<int> col4row = detail::HungarianWide(m, n, cost.data());
     for (std::size_t i = 0; i < m; ++i) {
       result.col_for_row[i] = col4row[i];
       result.total_cost += cost(i, static_cast<std::size_t>(col4row[i]));
@@ -85,7 +92,7 @@ AssignmentResult SolveHungarian(const Matrix& cost) {
     }
   } else {
     const Matrix t = cost.Transposed();
-    const std::vector<int> col4row = SolveWide(n, m, t.data());
+    const std::vector<int> col4row = detail::HungarianWide(n, m, t.data());
     for (std::size_t j = 0; j < n; ++j) {
       const int i = col4row[j];
       result.col_for_row[static_cast<std::size_t>(i)] = static_cast<int>(j);
@@ -96,4 +103,4 @@ AssignmentResult SolveHungarian(const Matrix& cost) {
   return result;
 }
 
-}  // namespace kairos::assign
+}  // namespace kairos::assign::reference

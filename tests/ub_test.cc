@@ -12,6 +12,7 @@
 #include "cloud/config_space.h"
 #include "common/rng.h"
 #include "core/kairos.h"
+#include "policy/registry.h"
 #include "reference_ub.h"
 #include "serving/throughput_eval.h"
 #include "ub/selector.h"
@@ -362,7 +363,7 @@ TEST_P(UbDominatesAchieved, BoundHolds) {
   opt.queries = 500;
   opt.rate_guess = std::max(1.0, 0.5 * bound);
   const auto achieved = serving::EvaluateConfig(
-      catalog, config, truth, qos_ms, core::MakePolicyFactory(scheme, 200),
+      catalog, config, truth, qos_ms, PolicyRegistry::Global().MakeFactory(scheme).value(),
       mix, opt);
   EXPECT_LE(achieved.qps, bound * 1.05) << config.ToString() << " " << scheme;
 }
