@@ -6,7 +6,7 @@
 
 #include "bench/bench_util.h"
 #include "policy/registry.h"
-#include "serving/system.h"
+#include "serving/engine.h"
 
 int main() {
   using namespace kairos;
@@ -28,17 +28,20 @@ int main() {
                                workload::Query{3, 100, 0.020},
                                workload::Query{4, 100, 0.030}});
 
-  serving::RunOptions keep;
-  keep.abort_violation_fraction = 0.0;
-  keep.keep_records = true;
+  serving::EngineOptions keep;
+  keep.run.abort_violation_fraction = 0.0;
+  keep.run.keep_records = true;
 
   for (const auto& [label, scheme] :
        {std::pair<std::string, std::string>{"Naive FCFS", "RIBBON"},
         {"KAIROS", "KAIROS"}}) {
-    serving::ServingSystem sys(spec,
-                               bench::OrDie(PolicyRegistry::Global().Build(scheme)),
-                               serving::PredictorOptions{}, keep);
-    const serving::RunResult run = sys.Run(trace);
+    serving::Engine engine(
+        spec, bench::OrDie(PolicyRegistry::Global().Build(scheme)), {}, keep);
+    for (const workload::Query& q : trace.queries()) {
+      bench::OrDie(engine.Submit(q));
+    }
+    engine.Drain();
+    const serving::RunResult run = engine.Totals();
     TextTable table({"query", "batch", "served on", "latency (ms)",
                      "meets QoS (350 ms)"});
     for (const serving::ServedRecord& rec : run.records) {

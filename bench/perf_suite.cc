@@ -8,7 +8,7 @@
 //   * eq_churn_{1k,100k,1m}_events_per_sec — steady-state event-queue
 //                                    churn (fire one / schedule one) at a
 //                                    held occupancy
-//   * eval_trials_per_sec          — AllowableThroughput simulation trials/s
+//   * eval_trials_per_sec          — EvaluateConfig simulation trials/s
 //   * evals_per_sec_kairos_plus    — KAIROS+ planning evaluations/s
 //   * plans_per_sec_kairos         — one-shot (zero-evaluation) planning
 //   * serve_all_wall_s_{1,2,4,8}t  — 8-shard fleet co-simulation wall-clock
@@ -246,7 +246,7 @@ std::vector<Metric> EventQueueChurn(bool tiny) {
   return metrics;
 }
 
-/// AllowableThroughput trials/sec on the paper pool — the expensive unit
+/// EvaluateConfig trials/sec on the paper pool — the expensive unit
 /// every search evaluation is made of.
 Metric EvalTrialsPerSec(std::size_t queries, int rounds) {
   const cloud::Catalog catalog = cloud::Catalog::PaperPool();

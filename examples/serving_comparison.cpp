@@ -14,7 +14,7 @@
 #include "common/table.h"
 #include "core/kairos.h"
 #include "policy/registry.h"
-#include "serving/system.h"
+#include "serving/engine.h"
 #include "workload/trace.h"
 
 int main(int argc, char** argv) {
@@ -66,11 +66,17 @@ int main(int argc, char** argv) {
     spec.config = plan.config;
     spec.truth = &kairos.truth();
     spec.qos_ms = kairos.qos_ms();
-    serving::RunOptions run_options;
-    run_options.abort_violation_fraction = 0.0;  // serve everything
-    serving::ServingSystem system(spec, *std::move(policy),
-                                  serving::PredictorOptions{}, run_options);
-    const serving::RunResult run = system.Run(trace);
+    serving::EngineOptions options;
+    options.run.abort_violation_fraction = 0.0;  // serve everything
+    serving::Engine engine(spec, *std::move(policy), {}, options);
+    for (const workload::Query& q : trace.queries()) {
+      if (const Status status = engine.Submit(q); !status.ok()) {
+        std::cerr << status.ToString() << "\n";
+        return 1;
+      }
+    }
+    engine.Drain();
+    const serving::RunResult run = engine.Totals();
 
     double gpu_busy = 0.0, cpu_busy = 0.0;
     double gpu_count = 0.0, cpu_count = 0.0;

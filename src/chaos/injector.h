@@ -187,7 +187,6 @@ class ChaosRegistry : public Registry<ChaosInjector> {
 };
 
 using ChaosInfo = RegistryInfo;
-using ChaosBuilder = ChaosRegistry::Builder;
 using ChaosRegistrar = Registrar<ChaosRegistry>;
 
 }  // namespace kairos::chaos

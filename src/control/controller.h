@@ -235,7 +235,6 @@ class ControllerRegistry : public Registry<FleetController> {
 };
 
 using ControllerInfo = RegistryInfo;
-using ControllerBuilder = ControllerRegistry::Builder;
 using ControllerRegistrar = Registrar<ControllerRegistry>;
 
 }  // namespace kairos::control

@@ -196,6 +196,10 @@ StatusOr<Fleet> Fleet::Create(const cloud::Catalog& catalog,
       return Status::InvalidArgument("model " + serve_name(m) +
                                      ": qos_scale must be positive");
     }
+    if (m.monitor_warmup == 0) {
+      return Status::InvalidArgument("model " + serve_name(m) +
+                                     ": monitor_warmup must be positive");
+    }
     if (m.min_budget_per_hour < 0.0 || m.max_budget_per_hour < 0.0) {
       return Status::InvalidArgument(
           "model " + serve_name(m) + ": budget bounds must be non-negative");
@@ -299,7 +303,6 @@ StatusOr<Fleet> Fleet::Create(const cloud::Catalog& catalog,
     session_options.qos_scale = models[i].qos_scale;
     session_options.monitor_warmup = models[i].monitor_warmup;
     session_options.seed = options.seed;
-    session_options.runtime = options.runtime;
     fleet.sessions_.emplace_back(catalog, models[i].model, session_options);
   }
   return fleet;
@@ -645,8 +648,6 @@ StatusOr<FleetServeResult> Fleet::ServeAll(const FleetPlan& plan,
       config = PadForDomainLoss(core->config, core_budget.domains, share,
                                 catalog_);
     }
-    auto runtime = Deploy(names_[i], config);
-    if (!runtime.ok()) return runtime.status();
     serving::EngineOptions engine_options;
     // Overload is an expected transient here (that is what reallocation
     // reacts to), so the batch early-abort heuristic is off.
@@ -657,7 +658,8 @@ StatusOr<FleetServeResult> Fleet::ServeAll(const FleetPlan& plan,
     engine_options.failure_domains = core_budget.domains;
     engine_options.seed = options_.seed + 1000003 * (j + 1);
     clocks.push_back(std::make_unique<sim::Simulator>());
-    auto engine = runtime->MakeEngine(engine_options, clocks.back().get());
+    auto engine =
+        sessions_[i].Deploy(config, engine_options, clocks.back().get());
     if (!engine.ok()) return engine.status();
 
     workload::QuerySourceSpec source_spec;
@@ -1555,8 +1557,8 @@ StatusOr<FleetServeResult> Fleet::ServeAll(const FleetPlan& plan,
   return result;
 }
 
-StatusOr<Runtime> Fleet::Deploy(const std::string& model,
-                                const cloud::Config& config) const {
+StatusOr<std::unique_ptr<serving::Engine>> Fleet::Deploy(
+    const std::string& model, const cloud::Config& config) const {
   const std::size_t i = IndexOf(model);
   if (i == kNpos) {
     return Status::NotFound("model " + model + " is not in this fleet");

@@ -77,7 +77,7 @@ struct FleetModelOptions {
   double max_budget_per_hour = 0.0;
   /// Multiplier on the model's Table-3 QoS target.
   double qos_scale = 1.0;
-  /// Sliding window of the model's query monitor.
+  /// Sliding window of the model's query monitor. Must be positive.
   std::size_t monitor_warmup = 10000;
   /// Failure domains (racks / AZs) this model's instances are spread over
   /// at deploy time, round-robin in launch order (DESIGN.md Sec. 11).
@@ -112,8 +112,6 @@ struct FleetOptions {
   /// concurrently; 0 = hardware concurrency, 1 = serial.
   std::size_t planning_threads = 0;
   std::uint64_t seed = 7;
-  /// Deploy-time runtime knobs, shared by all sessions.
-  RuntimeOptions runtime;
 };
 
 /// One model's slice of a fleet plan.
@@ -359,7 +357,8 @@ class Fleet {
  public:
   /// Validates the request and builds one Kairos session per model.
   /// Errors: kInvalidArgument (empty model list, duplicate model,
-  /// weight / arrival_scale <= 0, floor above ceiling), kNotFound
+  /// weight / arrival_scale / qos_scale <= 0, monitor_warmup == 0, floor
+  /// above ceiling), kNotFound
   /// (unknown model, planner, allocator or trace name, listing
   /// alternatives), kInfeasible (a STATIC share below its floor, or
   /// floors that together exceed the global budget).
@@ -399,16 +398,19 @@ class Fleet {
   StatusOr<FleetPlan> PlanAll(
       const search::SearchOptions& search = {}) const;
 
-  /// Deploys one model's chosen configuration with the Kairos distributor.
-  StatusOr<Runtime> Deploy(const std::string& model,
-                           const cloud::Config& config) const;
+  /// Builds an engine serving one model's configuration with the Kairos
+  /// distributor (Kairos::Deploy on the model's session); kNotFound for a
+  /// model outside the fleet.
+  StatusOr<std::unique_ptr<serving::Engine>> Deploy(
+      const std::string& model, const cloud::Config& config) const;
 
   /// Measures allowable throughput of every planned model, concurrently,
-  /// under the model's own trace when set and `mix` otherwise. Each
-  /// model's rate bracketing starts from half its planned expected_qps
-  /// when available (otherwise `eval_options.rate_guess`). Compatibility
-  /// path: each trial run is a batch shim over serving::Engine; ServeAll
-  /// is the online, co-simulated view of the same fleet.
+  /// under the model's own trace when set and `mix` otherwise, through
+  /// Kairos::MeasureThroughput (each rate trial a batch run on a fresh
+  /// serving::Engine). Each model's rate bracketing starts from half its
+  /// planned expected_qps when available (otherwise
+  /// `eval_options.rate_guess`). ServeAll is the online, co-simulated view
+  /// of the same fleet.
   StatusOr<FleetMeasurement> MeasureAll(
       const FleetPlan& plan, const workload::BatchDistribution& mix,
       serving::EvalOptions eval_options = {}) const;

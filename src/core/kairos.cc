@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "policy/kairos_policy.h"
+
 namespace kairos::core {
 
 Kairos::Kairos(const cloud::Catalog& catalog, const std::string& model,
@@ -35,14 +37,25 @@ search::SearchResult Kairos::PlanWithEvaluations(
   return Planner(ctx).PlanWithEvaluations(monitor_, eval, options);
 }
 
-Runtime Kairos::Deploy(const cloud::Config& config) const {
-  return Runtime(catalog_, config, truth_, qos_ms_, options_.runtime);
+StatusOr<std::unique_ptr<serving::Engine>> Kairos::Deploy(
+    const cloud::Config& config, serving::EngineOptions engine_options,
+    sim::Simulator* shared_clock) const {
+  serving::SystemSpec spec;
+  spec.catalog = &catalog_;
+  spec.config = config;
+  spec.truth = &truth_;
+  spec.qos_ms = qos_ms_;
+  return serving::Engine::Create(spec, std::make_unique<policy::KairosPolicy>(),
+                                 {}, engine_options, shared_clock);
 }
 
 serving::EvalResult Kairos::MeasureThroughput(
     const cloud::Config& config, const workload::BatchDistribution& mix,
     const serving::EvalOptions& eval_options) const {
-  return Deploy(config).MeasureThroughput(mix, eval_options);
+  return serving::EvaluateConfig(
+      catalog_, config, truth_, qos_ms_,
+      [] { return std::make_unique<policy::KairosPolicy>(); }, mix,
+      eval_options);
 }
 
 StatusOr<Kairos> Kairos::Create(const cloud::Catalog& catalog,
@@ -54,6 +67,12 @@ StatusOr<Kairos> Kairos::Create(const cloud::Catalog& catalog,
   }
   if (options.qos_scale <= 0.0) {
     return Status::InvalidArgument("qos_scale must be positive");
+  }
+  if (options.budget_per_hour <= 0.0) {
+    return Status::InvalidArgument("budget_per_hour must be positive");
+  }
+  if (options.monitor_warmup == 0) {
+    return Status::InvalidArgument("monitor_warmup must be positive");
   }
   return Kairos(catalog, model, options);
 }

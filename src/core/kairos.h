@@ -1,8 +1,9 @@
 // Public facade of the Kairos library. Downstream users (and this repo's
 // examples and benches) interact mainly through this header:
 //
-//   * Kairos        — plan a heterogeneous configuration under a budget and
-//                     deploy it with the Kairos query distributor;
+//   * Kairos        — plan a heterogeneous configuration under a budget,
+//                     measure its allowable throughput, and deploy it as a
+//                     serving::Engine running the Kairos query distributor;
 //   * Kairos::Create — the Status-returning construction path (unknown
 //                     model names come back as kNotFound, not exceptions);
 //   * MonitorFromMix — warm a QueryMonitor from a batch distribution, the
@@ -22,9 +23,9 @@
 // through kairos::ChaosRegistry (chaos/injector.h: SPOT_PREEMPTION,
 // DOMAIN_OUTAGE, INSTANCE_DEATH, NET_DEGRADE, COMPOSITE). Multi-model
 // serving under one budget goes through kairos::Fleet (core/fleet.h).
-// Online serving is the serving::Engine (serving/engine.h, built via
-// Runtime::MakeEngine or co-simulated fleet-wide via Fleet::ServeAll);
-// Runtime::Serve remains as the batch compatibility shim.
+// Serving is the serving::Engine (serving/engine.h): Kairos::Deploy
+// builds one, Fleet::ServeAll co-simulates one per model, and
+// MeasureThroughput runs one per rate trial (serving/throughput_eval.h).
 // QueryMonitor::Snapshot() returns StatusOr instead of throwing, like
 // the rest of the public API.
 #pragma once
@@ -34,8 +35,8 @@
 
 #include "common/status.h"
 #include "core/planner.h"
-#include "core/runtime.h"
 #include "latency/model_zoo.h"
+#include "serving/engine.h"
 #include "serving/throughput_eval.h"
 #include "workload/batch_dist.h"
 #include "workload/monitor.h"
@@ -47,10 +48,10 @@ struct KairosOptions {
   double budget_per_hour = 2.5;
   /// Multiplier on the model's Table-3 QoS target (Fig. 15b uses 1.2).
   double qos_scale = 1.0;
-  /// Queries observed to warm the monitor before planning.
+  /// Queries observed to warm the monitor before planning; also the
+  /// monitor's sliding window. Must be positive.
   std::size_t monitor_warmup = 10000;
   std::uint64_t seed = 7;
-  RuntimeOptions runtime;
 };
 
 /// End-to-end Kairos for one model on one catalog.
@@ -63,7 +64,8 @@ class Kairos {
          KairosOptions options = {});
 
   /// Status-returning construction: kNotFound (listing the Table-3 names)
-  /// for an unknown model, kInvalidArgument for bad options.
+  /// for an unknown model, kInvalidArgument for bad options (qos_scale,
+  /// budget_per_hour or monitor_warmup not positive).
   static StatusOr<Kairos> Create(const cloud::Catalog& catalog,
                                  const std::string& model,
                                  KairosOptions options = {});
@@ -85,10 +87,17 @@ class Kairos {
       const search::EvalFn& eval,
       const search::SearchOptions& options = {}) const;
 
-  /// Deploys a configuration with the Kairos distributor.
-  Runtime Deploy(const cloud::Config& config) const;
+  /// Builds an engine serving `config` with the Kairos distributor
+  /// (default knobs) and a pretrained predictor. Pass a `shared_clock` to
+  /// co-simulate several deployments on one event loop, as
+  /// Fleet::ServeAll does; the clock must outlive the engine.
+  /// kInvalidArgument for a config of the wrong arity or with no instance.
+  StatusOr<std::unique_ptr<serving::Engine>> Deploy(
+      const cloud::Config& config, serving::EngineOptions engine_options = {},
+      sim::Simulator* shared_clock = nullptr) const;
 
-  /// Allowable throughput of a config under the Kairos distributor.
+  /// Allowable throughput of a config under the Kairos distributor:
+  /// EvaluateConfig with a KairosPolicy per rate trial.
   serving::EvalResult MeasureThroughput(
       const cloud::Config& config, const workload::BatchDistribution& mix,
       const serving::EvalOptions& eval_options) const;

@@ -74,7 +74,7 @@ void KairosPolicy::Distribute(const RoundContext& ctx,
   // Serve-time predictions. A noise-free predictor never draws from the
   // RNG, so the whole waiting frontier can be priced with one batched
   // call per instance *type* instead of one virtual-ish call per (i, j)
-  // pair — this loop dominates AllowableThroughput, which evaluates it
+  // pair — this loop dominates EvaluateConfig, which evaluates it
   // once per trial per round. serve_sec_ holds row i's seconds on type t
   // at [i * num_types + t]. A noisy predictor falls back to per-pair
   // calls in the legacy (i, j) order so its noise stream is unchanged.

@@ -26,10 +26,6 @@ class PolicyRegistry : public Registry<Policy> {
   PolicyRegistry() : Registry("scheme") {}
 };
 
-/// Produces a fresh policy instance; the same type as
-/// serving::PolicyFactory (systems own their policy).
-using PolicyFactory = PolicyRegistry::Factory;
-using PolicyBuilder = PolicyRegistry::Builder;
 using PolicyRegistrar = Registrar<PolicyRegistry>;
 
 }  // namespace kairos::policy

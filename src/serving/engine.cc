@@ -21,67 +21,52 @@ const char* EngineStateName(EngineState state) {
   return "UNKNOWN";
 }
 
+Engine::Engine(Unchecked, SystemSpec spec,
+               std::unique_ptr<policy::Policy> policy,
+               PredictorOptions predictor_options, EngineOptions options,
+               sim::Simulator* shared_clock)
+    : spec_(std::move(spec)),
+      policy_(std::move(policy)),
+      predictor_options_(predictor_options),
+      options_(options),
+      sim_(shared_clock != nullptr ? shared_clock : &owned_sim_),
+      target_config_(spec_.config),
+      rng_(options.seed) {}
+
 Engine::Engine(SystemSpec spec, std::unique_ptr<policy::Policy> policy,
                PredictorOptions predictor_options, EngineOptions options,
                sim::Simulator* shared_clock)
-    : spec_(std::move(spec)),
-      owned_policy_(std::move(policy)),
-      policy_(owned_policy_.get()),
-      predictor_options_(predictor_options),
-      options_(options),
-      sim_(shared_clock != nullptr ? shared_clock : &owned_sim_),
-      target_config_(spec_.config),
-      rng_(options.seed) {
+    : Engine(Unchecked{}, std::move(spec), std::move(policy),
+             predictor_options, options, shared_clock) {
   const Status status = Init();
-  if (!status.ok()) throw std::invalid_argument("Engine: " + status.message());
-}
-
-Engine::Engine(SystemSpec spec, policy::Policy* policy,
-               PredictorOptions predictor_options, EngineOptions options,
-               sim::Simulator* shared_clock)
-    : spec_(std::move(spec)),
-      policy_(policy),
-      predictor_options_(predictor_options),
-      options_(options),
-      sim_(shared_clock != nullptr ? shared_clock : &owned_sim_),
-      target_config_(spec_.config),
-      rng_(options.seed) {
-  const Status status = Init();
-  if (!status.ok()) throw std::invalid_argument("Engine: " + status.message());
+  if (!status.ok()) throw std::invalid_argument(status.message());
 }
 
 StatusOr<std::unique_ptr<Engine>> Engine::Create(
     SystemSpec spec, std::unique_ptr<policy::Policy> policy,
     PredictorOptions predictor_options, EngineOptions options,
     sim::Simulator* shared_clock) {
-  if (spec.catalog == nullptr || spec.truth == nullptr) {
-    return Status::InvalidArgument("engine needs a catalog and a truth model");
-  }
-  if (spec.config.NumTypes() != spec.catalog->size()) {
-    return Status::InvalidArgument("config/catalog arity mismatch");
-  }
-  if (policy == nullptr) {
-    return Status::InvalidArgument("engine needs a distribution policy");
-  }
-  if (spec.config.TotalInstances() == 0) {
-    return Status::InvalidArgument("engine needs at least one instance");
-  }
-  return std::make_unique<Engine>(std::move(spec), std::move(policy),
-                                  predictor_options, options, shared_clock);
+  // Not make_unique: the unchecked constructor is private.
+  std::unique_ptr<Engine> engine(new Engine(Unchecked{}, std::move(spec),
+                                            std::move(policy),
+                                            predictor_options, options,
+                                            shared_clock));
+  if (Status status = engine->Init(); !status.ok()) return status;
+  return engine;
 }
 
 Status Engine::Init() {
   if (spec_.catalog == nullptr || spec_.truth == nullptr) {
-    return Status::InvalidArgument("catalog/truth required");
+    return Status::InvalidArgument("engine needs a catalog and a truth model");
   }
   if (spec_.config.NumTypes() != spec_.catalog->size()) {
     return Status::InvalidArgument("config/catalog arity mismatch");
   }
   if (policy_ == nullptr) {
-    return Status::InvalidArgument("policy required");
+    return Status::InvalidArgument("engine needs a distribution policy");
   }
   if (spec_.config.TotalInstances() == 0) {
-    return Status::InvalidArgument("empty configuration");
+    return Status::InvalidArgument("engine needs at least one instance");
   }
   predictor_ = std::make_unique<LatencyPredictor>(*spec_.catalog, *spec_.truth,
                                                   predictor_options_);
@@ -451,8 +436,7 @@ Status Engine::SwapPolicy(const std::string& name,
   }
   auto built = policy::PolicyRegistry::Global().Build(name, knobs);
   if (!built.ok()) return built.status();
-  owned_policy_ = *std::move(built);
-  policy_ = owned_policy_.get();
+  policy_ = *std::move(built);
   policy_->Reset();
   // Redistribute the central queue under the new scheme right away.
   RunRound();

@@ -1,7 +1,6 @@
-// The streaming serving engine (DESIGN.md Sec. 8): an *online* view of
-// the serving simulator. Where ServingSystem::Run consumes a whole trace
-// and returns one RunResult, an Engine owns a running deployment whose
-// lifetime the caller controls:
+// The serving engine (DESIGN.md Sec. 8), the one way to run a simulated
+// deployment. An Engine owns a running deployment whose lifetime the
+// caller controls:
 //
 //   * queries arrive continuously — programmatic Submit() or attached
 //     QuerySources pulled lazily, one emission ahead;
@@ -17,11 +16,15 @@
 // (an early abort also lands in DRAINED). Mutations and submissions are
 // only accepted while SERVING.
 //
+// Event flow:
+//   arrival  -> admission -> enqueue -> policy round -> dispatch/commit
+//   complete -> record latency, observe predictor -> policy round
+//
 // Several engines may shard one sim::Simulator (the shared-clock
 // constructor): Fleet::ServeAll co-simulates every model of a fleet on
-// one event loop this way. The batch entry points — ServingSystem::Run,
-// Runtime::Serve — are thin shims over this class and reproduce their
-// pre-engine results bit for bit (tests/engine_test.cc).
+// one event loop this way. Batch serving is Submit() of a whole trace,
+// then Drain(), then Totals(): each rate trial of EvaluateConfig
+// (serving/throughput_eval.h) runs exactly that on a fresh engine.
 #pragma once
 
 #include <memory>
@@ -33,6 +36,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "policy/registry.h"
+#include "serving/latency_predictor.h"
 #include "serving/system.h"
 #include "sim/simulator.h"
 #include "workload/query_source.h"
@@ -152,13 +156,8 @@ class Engine {
          PredictorOptions predictor_options = {}, EngineOptions options = {},
          sim::Simulator* shared_clock = nullptr);
 
-  /// Borrows the policy (the batch ServingSystem shim reuses its
-  /// long-lived policy across runs); `policy` must outlive the engine.
-  Engine(SystemSpec spec, policy::Policy* policy,
-         PredictorOptions predictor_options = {}, EngineOptions options = {},
-         sim::Simulator* shared_clock = nullptr);
-
-  /// Status-returning construction: kInvalidArgument instead of throwing.
+  /// Status-returning construction: the same checks as the constructor,
+  /// reported as kInvalidArgument instead of thrown.
   static StatusOr<std::unique_ptr<Engine>> Create(
       SystemSpec spec, std::unique_ptr<policy::Policy> policy,
       PredictorOptions predictor_options = {}, EngineOptions options = {},
@@ -381,7 +380,15 @@ class Engine {
     bool open = false;          ///< still pulling
   };
 
-  /// Shared constructor body; returns a Status instead of throwing.
+  /// Stores the pieces unchecked; both public construction paths finish
+  /// with Init(), which holds the one validation list.
+  struct Unchecked {};
+  Engine(Unchecked, SystemSpec spec, std::unique_ptr<policy::Policy> policy,
+         PredictorOptions predictor_options, EngineOptions options,
+         sim::Simulator* shared_clock);
+
+  /// Validates the spec and lays out the deployment; kInvalidArgument on
+  /// a bad spec, before anything is built.
   Status Init();
 
   /// Schedules source slot `slot`'s next emission, if any.
@@ -439,8 +446,7 @@ class Engine {
   std::size_t LiveCount(cloud::TypeId type) const;
 
   SystemSpec spec_;
-  std::unique_ptr<policy::Policy> owned_policy_;
-  policy::Policy* policy_ = nullptr;  ///< owned_policy_ or borrowed
+  std::unique_ptr<policy::Policy> policy_;
   PredictorOptions predictor_options_;
   EngineOptions options_;
 

@@ -81,7 +81,7 @@ class LatencyPredictor {
     // Lookup table indexed directly by batch size (domain is the fixed
     // [1, kMaxBatchSize]): mean latency and sample count per batch, with
     // count == 0 marking "never observed". Replaces an unordered_map that
-    // showed up in AllowableThroughput profiles — the dense array is one
+    // showed up in EvaluateConfig profiles — the dense array is one
     // predictable load where the map was a hash + node chase.
     std::vector<double> mean_ms;        ///< [0, kMaxBatchSize], 0 unused
     std::vector<std::size_t> samples;   ///< parallel to mean_ms

@@ -1,29 +1,17 @@
-// The batch serving-system entry point: a heterogeneous pool of instances,
-// a central query queue, and a pluggable distribution policy, driven by the
-// discrete-event engine. This is the experimental substrate standing in
-// for the paper's EC2 + gRPC deployment (DESIGN.md Sec. 1).
-//
-// Since the streaming redesign (DESIGN.md Sec. 8), ServingSystem is a thin
-// compatibility shim: Run() submits the whole trace to a fresh
-// serving::Engine and drains it, which reproduces the historical batch
-// semantics bit for bit. Online callers — continuous arrivals, windowed
-// metrics, mid-run mutation — should use serving::Engine directly.
-//
-// Event flow per run:
-//   arrival  -> enqueue -> policy round -> dispatch/commit
-//   complete -> record latency, observe predictor -> policy round
+// What a serving run is about and what it reports: the deployment spec
+// (catalog, configuration, ground-truth latency surface, QoS target), the
+// run knobs shared by every serving::Engine, and the cumulative results
+// Engine::Totals() returns in batch form. The experimental substrate these
+// describe stands in for the paper's EC2 + gRPC deployment (DESIGN.md
+// Sec. 1); the engine that runs it is serving/engine.h.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "cloud/config.h"
 #include "cloud/instance_type.h"
 #include "latency/latency_model.h"
-#include "policy/policy.h"
 #include "serving/instance.h"
-#include "serving/latency_predictor.h"
-#include "workload/trace.h"
 
 namespace kairos::serving {
 
@@ -89,29 +77,6 @@ struct RunResult {
   std::vector<ServedRecord> records;    ///< when RunOptions::keep_records
   std::vector<double> per_type_busy;    ///< busy seconds per TypeId
   std::vector<std::size_t> per_type_served;  ///< completions per TypeId
-};
-
-/// One simulated heterogeneous serving deployment (batch shim over
-/// serving::Engine; see the file comment).
-class ServingSystem {
- public:
-  /// The spec's catalog/truth must outlive the system.
-  ServingSystem(SystemSpec spec, std::unique_ptr<policy::Policy> policy,
-                PredictorOptions predictor_options = {},
-                RunOptions run_options = {});
-
-  /// Simulates serving the trace to completion (or early abort) on a fresh
-  /// engine, so a system can be reused across runs.
-  RunResult Run(const workload::Trace& trace);
-
-  const policy::Policy& GetPolicy() const { return *policy_; }
-  const SystemSpec& spec() const { return spec_; }
-
- private:
-  SystemSpec spec_;
-  std::unique_ptr<policy::Policy> policy_;
-  PredictorOptions predictor_options_;
-  RunOptions run_options_;
 };
 
 }  // namespace kairos::serving

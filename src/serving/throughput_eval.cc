@@ -1,16 +1,31 @@
 #include "serving/throughput_eval.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/rng.h"
+#include "serving/engine.h"
 #include "workload/arrival.h"
 #include "workload/trace.h"
 
 namespace kairos::serving {
 
-EvalResult AllowableThroughput(const SystemFactory& factory,
-                               const workload::BatchDistribution& mix,
-                               double qos_ms, const EvalOptions& options) {
+EvalResult EvaluateConfig(const cloud::Catalog& catalog,
+                          const cloud::Config& config,
+                          const latency::LatencyModel& truth, double qos_ms,
+                          const PolicyFactory& policy_factory,
+                          const workload::BatchDistribution& mix,
+                          const EvalOptions& options,
+                          PredictorOptions predictor_options,
+                          RunOptions run_options) {
+  SystemSpec spec;
+  spec.catalog = &catalog;
+  spec.config = config;
+  spec.truth = &truth;
+  spec.qos_ms = qos_ms;
+  EngineOptions engine_options;
+  engine_options.run = run_options;
+
   Rng rng(options.seed);
   const workload::PoissonArrivals unit_rate(1.0);
   // The batch-size sequence is generated once per evaluation; every
@@ -25,8 +40,17 @@ EvalResult AllowableThroughput(const SystemFactory& factory,
   auto passes = [&](double rate) {
     ++result.trials;
     base.RetimedInto(rate, &trial);
-    const RunResult run = factory()->Run(trial);
-    return run.QosMet(qos_ms);
+    // Batch semantics: every arrival is scheduled, in trace order, before
+    // any event fires; then the engine drains.
+    Engine engine(spec, policy_factory(), predictor_options, engine_options);
+    for (const workload::Query& q : trial.queries()) {
+      const Status status = engine.Submit(q);
+      if (!status.ok()) {
+        throw std::logic_error("EvaluateConfig: " + status.message());
+      }
+    }
+    engine.Drain();
+    return engine.Totals().QosMet(qos_ms);
   };
 
   // Bracket the failure boundary geometrically from the initial guess.
@@ -65,26 +89,6 @@ EvalResult AllowableThroughput(const SystemFactory& factory,
   }
   result.qps = lo;
   return result;
-}
-
-EvalResult EvaluateConfig(const cloud::Catalog& catalog,
-                          const cloud::Config& config,
-                          const latency::LatencyModel& truth, double qos_ms,
-                          const PolicyFactory& policy_factory,
-                          const workload::BatchDistribution& mix,
-                          const EvalOptions& options,
-                          PredictorOptions predictor_options,
-                          RunOptions run_options) {
-  const SystemFactory factory = [&] {
-    SystemSpec spec;
-    spec.catalog = &catalog;
-    spec.config = config;
-    spec.truth = &truth;
-    spec.qos_ms = qos_ms;
-    return std::make_unique<ServingSystem>(spec, policy_factory(),
-                                           predictor_options, run_options);
-  };
-  return AllowableThroughput(factory, mix, qos_ms, options);
 }
 
 }  // namespace kairos::serving

@@ -3,7 +3,8 @@
 // Implemented as the paper describes — raise the rate until QoS breaks —
 // via geometric bracketing plus bisection. Every rate trial replays the
 // *same* batch-size sequence (retimed), so scheme comparisons are not
-// polluted by sampling noise.
+// polluted by sampling noise, and runs it as a batch on a fresh
+// serving::Engine: submit the whole trace, drain, check Totals().
 #pragma once
 
 #include <cstdint>
@@ -11,15 +12,14 @@
 #include <memory>
 
 #include "cloud/config.h"
+#include "policy/policy.h"
+#include "serving/latency_predictor.h"
 #include "serving/system.h"
 #include "workload/batch_dist.h"
 
 namespace kairos::serving {
 
-/// Produces a fresh ServingSystem per rate trial.
-using SystemFactory = std::function<std::unique_ptr<ServingSystem>()>;
-
-/// Produces a fresh distribution policy (systems own their policy).
+/// Produces a fresh distribution policy; each trial's engine owns one.
 using PolicyFactory = std::function<std::unique_ptr<policy::Policy>()>;
 
 /// Evaluator knobs. Defaults target bench-quality fidelity in seconds of
@@ -38,13 +38,13 @@ struct EvalResult {
                      ///< correspond to one EvalResult, not one trial)
 };
 
-/// Core evaluator over an arbitrary system factory.
-EvalResult AllowableThroughput(const SystemFactory& factory,
-                               const workload::BatchDistribution& mix,
-                               double qos_ms, const EvalOptions& options);
-
-/// Convenience evaluator for (catalog, config, model, policy) tuples — the
-/// form every search algorithm and bench uses.
+/// The allowable-throughput evaluator, for (catalog, config, model,
+/// policy) tuples: every search algorithm, bench and
+/// Kairos::MeasureThroughput measures through it. Each rate trial builds
+/// an Engine over the config with a fresh `policy_factory()` policy,
+/// `predictor_options`, and default EngineOptions whose `run` is
+/// `run_options`. The config must hold at least one instance of the
+/// catalog's arity (std::invalid_argument otherwise).
 EvalResult EvaluateConfig(const cloud::Catalog& catalog,
                           const cloud::Config& config,
                           const latency::LatencyModel& truth, double qos_ms,

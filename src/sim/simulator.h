@@ -1,5 +1,5 @@
-// Discrete-event simulator: a clock plus an event queue. The serving system
-// (serving/system.h) drives its instances and controller through this.
+// Discrete-event simulator: a clock plus an event queue. The serving engine
+// (serving/engine.h) drives its instances and controller through this.
 #pragma once
 
 #include <algorithm>

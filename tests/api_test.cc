@@ -265,6 +265,18 @@ TEST(KairosCreateTest, ValidModelPlansLikeThrowingConstructor) {
       catalog, "WND", core::KairosOptions{.qos_scale = -1.0});
   ASSERT_FALSE(bad_options.ok());
   EXPECT_EQ(bad_options.status().code(), StatusCode::kInvalidArgument);
+
+  // A budget the planner would reject, and a monitor with no window, are
+  // refused up front instead of throwing (now or at the first plan).
+  for (const core::KairosOptions& bad :
+       {core::KairosOptions{.budget_per_hour = 0.0},
+        core::KairosOptions{.monitor_warmup = 0}}) {
+    std::optional<StatusOr<core::Kairos>> refused;
+    EXPECT_NO_THROW(refused.emplace(core::Kairos::Create(catalog, "RM2", bad)));
+    ASSERT_TRUE(refused.has_value());
+    ASSERT_FALSE(refused->ok());
+    EXPECT_EQ(refused->status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -308,6 +320,16 @@ TEST(FleetTest, CreateValidationErrors) {
   auto dup = Fleet::Create(catalog, models);
   ASSERT_FALSE(dup.ok());
   EXPECT_EQ(dup.status().code(), StatusCode::kInvalidArgument);
+
+  models = TwoModelFleet();
+  models[1].monitor_warmup = 0;
+  std::optional<StatusOr<Fleet>> no_window;
+  EXPECT_NO_THROW(no_window.emplace(Fleet::Create(catalog, models)));
+  ASSERT_TRUE(no_window.has_value());
+  ASSERT_FALSE(no_window->ok());
+  EXPECT_EQ(no_window->status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(no_window->status().message().rfind("model WND: ", 0), 0u)
+      << no_window->status().message();
 
   core::FleetOptions options;
   options.planner = "SIMPLEX";
@@ -429,11 +451,15 @@ TEST(FleetTest, MeasureAllReportsEveryModel) {
   }
   EXPECT_NEAR(sum, measured->total_qps, 1e-9);
 
-  // Deploying a planned config through the fleet works; unknown models
-  // surface as kNotFound.
-  const auto runtime = fleet->Deploy("RM2", plan->models[0].outcome.config);
-  ASSERT_TRUE(runtime.ok());
-  EXPECT_FALSE(fleet->Deploy("DIEN", plan->models[0].outcome.config).ok());
+  // Deploying a planned config through the fleet builds its engine;
+  // unknown models surface as kNotFound.
+  const auto engine = fleet->Deploy("RM2", plan->models[0].outcome.config);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ((*engine)->target_config(), plan->models[0].outcome.config);
+  EXPECT_EQ(fleet->Deploy("DIEN", plan->models[0].outcome.config)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
 }
 
 }  // namespace

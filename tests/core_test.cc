@@ -3,7 +3,7 @@
 #include "cloud/config_space.h"
 #include "core/kairos.h"
 #include "core/planner.h"
-#include "core/runtime.h"
+#include "policy/registry.h"
 
 namespace kairos::core {
 namespace {
@@ -99,31 +99,25 @@ TEST(MonitorFromMixTest, DeterministicForSeed) {
   EXPECT_EQ(a.Count(), 2000u);
 }
 
-TEST(RuntimeTest, ServeRunsTraceWithKairosPolicy) {
-  const Catalog catalog = Catalog::PaperPool();
-  const auto spec = latency::FindModel("WND");
-  const auto truth = spec.Instantiate(catalog);
-  Runtime runtime(catalog, Config({1, 0, 2, 0}), truth, spec.qos_ms);
-  Rng rng(3);
-  const auto mix = workload::LogNormalBatches::Production();
-  const auto trace = workload::Trace::Generate(
-      workload::PoissonArrivals(50.0), mix, 300, rng);
-  const auto result = runtime.Serve(trace);
-  EXPECT_EQ(result.served, 300u);
-  EXPECT_GT(result.throughput_qps, 0.0);
-}
-
 TEST(RuntimeTest, MeasureThroughputPositiveForFeasibleSetup) {
+  // The session measures through the one evaluator: EvaluateConfig with a
+  // fresh KAIROS policy per rate trial, bit for bit.
   const Catalog catalog = Catalog::PaperPool();
-  const auto spec = latency::FindModel("WND");
-  const auto truth = spec.Instantiate(catalog);
-  Runtime runtime(catalog, Config({2, 0, 0, 0}), truth, spec.qos_ms);
+  const Kairos kairos(catalog, "WND");
+  const Config config({2, 0, 0, 0});
+  const auto mix = workload::LogNormalBatches::Production();
   serving::EvalOptions opt;
   opt.queries = 300;
   opt.rate_guess = 100.0;
-  const auto r =
-      runtime.MeasureThroughput(workload::LogNormalBatches::Production(), opt);
+  const auto r = kairos.MeasureThroughput(config, mix, opt);
   EXPECT_GT(r.qps, 0.0);
+
+  const auto factory = PolicyRegistry::Global().MakeFactory("KAIROS", {});
+  ASSERT_TRUE(factory.ok()) << factory.status().ToString();
+  const auto want = serving::EvaluateConfig(
+      catalog, config, kairos.truth(), kairos.qos_ms(), *factory, mix, opt);
+  EXPECT_EQ(r.qps, want.qps);
+  EXPECT_EQ(r.trials, want.trials);
 }
 
 }  // namespace

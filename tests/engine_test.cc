@@ -1,7 +1,7 @@
-// Streaming-engine and query-source coverage (DESIGN.md Sec. 8): shim
-// equivalence with the batch path, the engine state machine, windowed-
-// metrics determinism across AdvanceTo step sizes, mid-run mutation
-// (arrival scale, policy swap, reconfiguration with launch lag),
+// Streaming-engine and query-source coverage (DESIGN.md Sec. 8): the
+// engine state machine, windowed-metrics determinism across AdvanceTo
+// step sizes, mid-run mutation (arrival scale, policy swap,
+// reconfiguration with launch lag),
 // admission control and deadline shedding (DESIGN.md Sec. 12), and the
 // QuerySource registry contract.
 #include <gtest/gtest.h>
@@ -10,11 +10,11 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/kairos.h"
 #include "policy/kairos_policy.h"
 #include "policy/ribbon_policy.h"
 #include "serving/engine.h"
-#include "serving/system.h"
+#include "workload/arrival.h"
+#include "workload/batch_dist.h"
 #include "workload/query_source.h"
 #include "workload/trace.h"
 #include "workload/trace_io.h"
@@ -58,60 +58,6 @@ Trace MediumTrace(double rate_qps = 30.0, std::size_t count = 200,
   Rng rng(seed);
   const auto mix = workload::LogNormalBatches::Production();
   return Trace::Generate(workload::PoissonArrivals(rate_qps), mix, count, rng);
-}
-
-void ExpectSameRunResult(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.offered, b.offered);
-  EXPECT_EQ(a.served, b.served);
-  EXPECT_EQ(a.violations, b.violations);
-  EXPECT_EQ(a.aborted, b.aborted);
-  EXPECT_EQ(a.p99_ms, b.p99_ms);
-  EXPECT_EQ(a.mean_ms, b.mean_ms);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.throughput_qps, b.throughput_qps);
-  ASSERT_EQ(a.latencies_ms.size(), b.latencies_ms.size());
-  for (std::size_t i = 0; i < a.latencies_ms.size(); ++i) {
-    EXPECT_EQ(a.latencies_ms[i], b.latencies_ms[i]) << "latency " << i;
-  }
-  EXPECT_EQ(a.per_type_busy, b.per_type_busy);
-  EXPECT_EQ(a.per_type_served, b.per_type_served);
-}
-
-// --- Batch shims reproduce the engine bit for bit. ---
-
-TEST(EngineShimTest, ServingSystemRunEqualsManualSubmitDrain) {
-  const Catalog catalog = TinyCatalog();
-  const LatencyModel truth = TinyModel();
-  const Trace trace = MediumTrace();
-
-  ServingSystem system(TinySpec(catalog, truth, {1, 2}),
-                       std::make_unique<policy::KairosPolicy>());
-  const RunResult batch = system.Run(trace);
-
-  Engine engine(TinySpec(catalog, truth, {1, 2}),
-                std::make_unique<policy::KairosPolicy>());
-  for (const Query& q : trace.queries()) {
-    ASSERT_TRUE(engine.Submit(q).ok());
-  }
-  engine.Drain();
-  ExpectSameRunResult(batch, engine.Totals());
-}
-
-TEST(EngineShimTest, RuntimeServeEqualsEngineOnPaperPool) {
-  const Catalog catalog = Catalog::PaperPool();
-  const auto spec = latency::FindModel("WND");
-  const auto truth = spec.Instantiate(catalog);
-  core::Runtime runtime(catalog, Config({1, 0, 2, 0}), truth, spec.qos_ms);
-  const Trace trace = MediumTrace(50.0, 300, 3);
-  const RunResult via_shim = runtime.Serve(trace);
-
-  auto engine = runtime.MakeEngine();
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  for (const Query& q : trace.queries()) {
-    ASSERT_TRUE((*engine)->Submit(q).ok());
-  }
-  (*engine)->Drain();
-  ExpectSameRunResult(via_shim, (*engine)->Totals());
 }
 
 // --- State machine and submission rules. ---
@@ -194,12 +140,6 @@ TEST(EngineTest, EmptyRunReportsZeroThroughputAndFailsQos) {
   EXPECT_EQ(r.served, 0u);
   EXPECT_EQ(r.throughput_qps, 0.0);  // 0/0 must not surface as NaN
   EXPECT_FALSE(r.QosMet(200.0));     // an empty run demonstrates nothing
-
-  ServingSystem system(TinySpec(catalog, truth, {1, 0}),
-                       std::make_unique<policy::KairosPolicy>());
-  const RunResult batch = system.Run(Trace{});
-  EXPECT_EQ(batch.throughput_qps, 0.0);
-  EXPECT_FALSE(batch.QosMet(200.0));
 }
 
 // --- Windowed metrics. ---

@@ -11,9 +11,10 @@
 #include "policy/kairos_policy.h"
 #include "policy/partitioned_policy.h"
 #include "policy/ribbon_policy.h"
-#include "serving/system.h"
+#include "serving/engine.h"
 #include "workload/trace.h"
 #include "reference_jv.h"
+#include "serve_trace.h"
 
 namespace kairos::policy {
 namespace {
@@ -556,14 +557,14 @@ TEST(Fig5SlackScenario, KairosServesAllFourFcfsDoesNot) {
   const Trace trace({Query{0, 100, 0.000}, Query{1, 900, 0.010},
                      Query{2, 100, 0.020}, Query{3, 100, 0.030}});
 
-  serving::RunOptions keep;
-  keep.abort_violation_fraction = 0.0;
-  serving::ServingSystem kairos_sys(spec, std::make_unique<KairosPolicy>(),
-                                    serving::PredictorOptions{}, keep);
-  serving::ServingSystem fcfs_sys(spec, std::make_unique<RibbonPolicy>(),
-                                  serving::PredictorOptions{}, keep);
-  const auto kairos_run = kairos_sys.Run(trace);
-  const auto fcfs_run = fcfs_sys.Run(trace);
+  serving::EngineOptions keep;
+  keep.run.abort_violation_fraction = 0.0;
+  serving::Engine kairos_engine(spec, std::make_unique<KairosPolicy>(),
+                                serving::PredictorOptions{}, keep);
+  serving::Engine fcfs_engine(spec, std::make_unique<RibbonPolicy>(),
+                              serving::PredictorOptions{}, keep);
+  const auto kairos_run = serving::ServeTrace(kairos_engine, trace);
+  const auto fcfs_run = serving::ServeTrace(fcfs_engine, trace);
   EXPECT_EQ(kairos_run.violations, 0u)
       << "Kairos should serve all 4 queries within QoS";
   EXPECT_GT(fcfs_run.violations, 0u)

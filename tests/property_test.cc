@@ -11,7 +11,8 @@
 #include "oracle/oracle.h"
 #include "policy/policy.h"
 #include "policy/registry.h"
-#include "serving/system.h"
+#include "serve_trace.h"
+#include "serving/engine.h"
 #include "ub/upper_bound.h"
 #include "workload/mixtures.h"
 
@@ -74,18 +75,17 @@ TEST_P(FuzzPolicyInvariants, SystemStateStaysConsistent) {
   spec.truth = &truth;
   spec.qos_ms = 100.0;
 
-  serving::RunOptions run_options;
-  run_options.abort_violation_fraction = 0.0;  // serve everything
-  run_options.keep_records = true;
-  serving::ServingSystem system(spec,
-                                std::make_unique<RandomPolicy>(seed, early),
-                                serving::PredictorOptions{}, run_options);
+  serving::EngineOptions options;
+  options.run.abort_violation_fraction = 0.0;  // serve everything
+  options.run.keep_records = true;
+  serving::Engine engine(spec, std::make_unique<RandomPolicy>(seed, early),
+                         serving::PredictorOptions{}, options);
 
   Rng rng(seed ^ 0xF00D);
   const auto mix = workload::LogNormalBatches::Production();
   const auto trace = workload::Trace::Generate(
       workload::PoissonArrivals(60.0), mix, 400, rng);
-  const serving::RunResult run = system.Run(trace);
+  const serving::RunResult run = serving::ServeTrace(engine, trace);
 
   // Everything offered is eventually served exactly once (fuzz policy may
   // delay but arrivals keep triggering rounds; random assignment always

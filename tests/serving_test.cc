@@ -7,8 +7,9 @@
 #include "latency/model_zoo.h"
 #include "policy/kairos_policy.h"
 #include "policy/ribbon_policy.h"
+#include "serve_trace.h"
+#include "serving/engine.h"
 #include "serving/latency_predictor.h"
-#include "serving/system.h"
 #include "serving/throughput_eval.h"
 #include "workload/trace.h"
 
@@ -95,15 +96,14 @@ TEST(LatencyPredictorTest, NoiseIsAppliedOnlyToPredict) {
   EXPECT_TRUE(differs);
 }
 
-// --- ServingSystem basics. ---
+// --- Batch serving: a whole trace submitted upfront, then drained. ---
 
-TEST(ServingSystemTest, SingleQuerySingleInstance) {
+TEST(EngineBatchTest, SingleQuerySingleInstance) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  ServingSystem sys(TinySpec(catalog, truth, {1, 0}),
-                    std::make_unique<policy::RibbonPolicy>());
-  const Trace trace({Query{0, 100, 0.0}});
-  const RunResult r = sys.Run(trace);
+  Engine engine(TinySpec(catalog, truth, {1, 0}),
+                std::make_unique<policy::RibbonPolicy>());
+  const RunResult r = ServeTrace(engine, Trace({Query{0, 100, 0.0}}));
   EXPECT_EQ(r.served, 1u);
   EXPECT_EQ(r.violations, 0u);
   // Latency = serving latency (no queueing): 10 + 0.1*100 = 20 ms.
@@ -111,72 +111,70 @@ TEST(ServingSystemTest, SingleQuerySingleInstance) {
   EXPECT_NEAR(r.makespan, 0.020, 1e-9);
 }
 
-TEST(ServingSystemTest, QueueingDelaysAreAccounted) {
+TEST(EngineBatchTest, QueueingDelaysAreAccounted) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  ServingSystem sys(TinySpec(catalog, truth, {1, 0}),
-                    std::make_unique<policy::RibbonPolicy>());
+  Engine engine(TinySpec(catalog, truth, {1, 0}),
+                std::make_unique<policy::RibbonPolicy>());
   // Two simultaneous queries on one instance: second waits for the first.
-  const Trace trace({Query{0, 100, 0.0}, Query{1, 100, 0.0}});
-  const RunResult r = sys.Run(trace);
+  const RunResult r =
+      ServeTrace(engine, Trace({Query{0, 100, 0.0}, Query{1, 100, 0.0}}));
   ASSERT_EQ(r.served, 2u);
   EXPECT_NEAR(r.latencies_ms[0], 20.0, 1e-9);
   EXPECT_NEAR(r.latencies_ms[1], 40.0, 1e-9);  // 20 wait + 20 serve
 }
 
-TEST(ServingSystemTest, ViolationsCounted) {
+TEST(EngineBatchTest, ViolationsCounted) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
   // QoS 25 ms: a batch-100 query is fine alone (20ms) but queued is not.
-  ServingSystem sys(TinySpec(catalog, truth, {1, 0}, 25.0),
-                    std::make_unique<policy::RibbonPolicy>(),
-                    PredictorOptions{},
-                    RunOptions{.abort_violation_fraction = 0.0});
-  const Trace trace({Query{0, 100, 0.0}, Query{1, 100, 0.0}});
-  const RunResult r = sys.Run(trace);
+  Engine engine(TinySpec(catalog, truth, {1, 0}, 25.0),
+                std::make_unique<policy::RibbonPolicy>(), PredictorOptions{},
+                EngineOptions{.run = {.abort_violation_fraction = 0.0}});
+  const RunResult r =
+      ServeTrace(engine, Trace({Query{0, 100, 0.0}, Query{1, 100, 0.0}}));
   EXPECT_EQ(r.violations, 1u);
   EXPECT_FALSE(r.QosMet(25.0));
 }
 
-TEST(ServingSystemTest, EarlyAbortOnViolationOverflow) {
+TEST(EngineBatchTest, EarlyAbortOnViolationOverflow) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  ServingSystem sys(TinySpec(catalog, truth, {1, 0}, 25.0),
-                    std::make_unique<policy::RibbonPolicy>(),
-                    PredictorOptions{},
-                    RunOptions{.abort_violation_fraction = 0.05});
+  Engine engine(TinySpec(catalog, truth, {1, 0}, 25.0),
+                std::make_unique<policy::RibbonPolicy>(), PredictorOptions{},
+                EngineOptions{.run = {.abort_violation_fraction = 0.05}});
   std::vector<Query> qs;
   for (int i = 0; i < 200; ++i) {
     qs.push_back(Query{static_cast<workload::QueryId>(i), 100, 0.0});
   }
-  const RunResult r = sys.Run(Trace(qs));
+  const RunResult r = ServeTrace(engine, Trace(qs));
   EXPECT_TRUE(r.aborted);
   EXPECT_LT(r.served, 200u);
 }
 
-TEST(ServingSystemTest, PerTypeStatsSumToTotals) {
+TEST(EngineBatchTest, PerTypeStatsSumToTotals) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  ServingSystem sys(TinySpec(catalog, truth, {1, 2}),
-                    std::make_unique<policy::KairosPolicy>());
+  Engine engine(TinySpec(catalog, truth, {1, 2}),
+                std::make_unique<policy::KairosPolicy>());
   Rng rng(3);
   const auto mix = workload::LogNormalBatches::Production();
   const Trace trace =
       Trace::Generate(workload::PoissonArrivals(40.0), mix, 300, rng);
-  const RunResult r = sys.Run(trace);
+  const RunResult r = ServeTrace(engine, trace);
   std::size_t total = 0;
   for (std::size_t s : r.per_type_served) total += s;
   EXPECT_EQ(total, r.served);
 }
 
-TEST(ServingSystemTest, RecordsKeptWhenRequested) {
+TEST(EngineBatchTest, RecordsKeptWhenRequested) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  ServingSystem sys(TinySpec(catalog, truth, {1, 1}),
-                    std::make_unique<policy::KairosPolicy>(),
-                    PredictorOptions{}, RunOptions{.keep_records = true});
-  const Trace trace({Query{0, 10, 0.0}, Query{1, 600, 0.001}});
-  const RunResult r = sys.Run(trace);
+  Engine engine(TinySpec(catalog, truth, {1, 1}),
+                std::make_unique<policy::KairosPolicy>(), PredictorOptions{},
+                EngineOptions{.run = {.keep_records = true}});
+  const RunResult r =
+      ServeTrace(engine, Trace({Query{0, 10, 0.0}, Query{1, 600, 0.001}}));
   ASSERT_EQ(r.records.size(), 2u);
   for (const ServedRecord& rec : r.records) {
     EXPECT_GE(rec.start, rec.arrival);
@@ -185,35 +183,22 @@ TEST(ServingSystemTest, RecordsKeptWhenRequested) {
   }
 }
 
-TEST(ServingSystemTest, RunIsRepeatable) {
+TEST(EngineBatchTest, RunIsRepeatable) {
+  // Two fresh engines on one trace serve it identically.
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  ServingSystem sys(TinySpec(catalog, truth, {1, 1}),
-                    std::make_unique<policy::KairosPolicy>());
   Rng rng(4);
   const auto mix = workload::LogNormalBatches::Production();
   const Trace trace =
       Trace::Generate(workload::PoissonArrivals(30.0), mix, 200, rng);
-  const RunResult a = sys.Run(trace);
-  const RunResult b = sys.Run(trace);
+  Engine first(TinySpec(catalog, truth, {1, 1}),
+               std::make_unique<policy::KairosPolicy>());
+  Engine second(TinySpec(catalog, truth, {1, 1}),
+                std::make_unique<policy::KairosPolicy>());
+  const RunResult a = ServeTrace(first, trace);
+  const RunResult b = ServeTrace(second, trace);
   EXPECT_EQ(a.served, b.served);
   EXPECT_DOUBLE_EQ(a.p99_ms, b.p99_ms);
-}
-
-TEST(ServingSystemTest, MissingPiecesThrow) {
-  const Catalog catalog = TinyCatalog();
-  const LatencyModel truth = TinyModel();
-  SystemSpec bad = TinySpec(catalog, truth, {1, 0});
-  bad.catalog = nullptr;
-  EXPECT_THROW(ServingSystem(bad, std::make_unique<policy::RibbonPolicy>()),
-               std::invalid_argument);
-  EXPECT_THROW(
-      ServingSystem(TinySpec(catalog, truth, {1, 0}), nullptr),
-      std::invalid_argument);
-  // Empty configuration must be rejected at run time.
-  ServingSystem empty(TinySpec(catalog, truth, {0, 0}),
-                      std::make_unique<policy::RibbonPolicy>());
-  EXPECT_THROW(empty.Run(Trace({Query{0, 1, 0.0}})), std::logic_error);
 }
 
 // --- Allowable-throughput evaluation. ---
@@ -262,13 +247,14 @@ TEST(ThroughputEvalTest, ImpossibleQosYieldsZero) {
   EXPECT_DOUBLE_EQ(r.qps, 0.0);
 }
 
-// The reference form of AllowableThroughput before the scratch-trace
-// optimisation: a fresh Retimed() trace materialized per rate trial. The
-// optimized path must reproduce its EvalResult exactly.
-EvalResult ReferenceAllowableThroughput(const SystemFactory& factory,
-                                        const workload::BatchDistribution& mix,
-                                        double qos_ms,
-                                        const EvalOptions& options) {
+// The reference form of EvaluateConfig before the scratch-trace
+// optimisation: a fresh Retimed() trace materialized per rate trial and
+// served on a fresh engine. The optimized path must reproduce its
+// EvalResult exactly.
+EvalResult ReferenceEvaluateConfig(const SystemSpec& spec,
+                                   const PolicyFactory& policy_factory,
+                                   const workload::BatchDistribution& mix,
+                                   const EvalOptions& options) {
   Rng rng(options.seed);
   const workload::PoissonArrivals unit_rate(1.0);
   const Trace base =
@@ -278,8 +264,8 @@ EvalResult ReferenceAllowableThroughput(const SystemFactory& factory,
   auto passes = [&](double rate) {
     ++result.trials;
     const Trace trial = base.Retimed(rate);
-    const RunResult run = factory()->Run(trial);
-    return run.QosMet(qos_ms);
+    Engine engine(spec, policy_factory());
+    return ServeTrace(engine, trial).QosMet(spec.qos_ms);
   };
 
   double lo = 0.0;
@@ -320,24 +306,18 @@ EvalResult ReferenceAllowableThroughput(const SystemFactory& factory,
 TEST(ThroughputEvalTest, ScratchTraceReuseMatchesReferencePath) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  const auto policy = [] { return std::make_unique<policy::KairosPolicy>(); };
-  const SystemFactory factory = [&] {
-    SystemSpec spec;
-    spec.catalog = &catalog;
-    spec.config = Config({2, 1});
-    spec.truth = &truth;
-    spec.qos_ms = 200.0;
-    return std::make_unique<ServingSystem>(spec, policy(), PredictorOptions{},
-                                           RunOptions{});
+  const PolicyFactory policy = [] {
+    return std::make_unique<policy::KairosPolicy>();
   };
   const auto mix = workload::LogNormalBatches::Production();
   for (const double guess : {5.0, 25.0, 80.0}) {
     EvalOptions opt;
     opt.queries = 250;
     opt.rate_guess = guess;
-    const EvalResult got = AllowableThroughput(factory, mix, 200.0, opt);
-    const EvalResult want =
-        ReferenceAllowableThroughput(factory, mix, 200.0, opt);
+    const EvalResult got =
+        EvaluateConfig(catalog, Config({2, 1}), truth, 200.0, policy, mix, opt);
+    const EvalResult want = ReferenceEvaluateConfig(
+        TinySpec(catalog, truth, {2, 1}), policy, mix, opt);
     EXPECT_EQ(got.qps, want.qps) << "guess " << guess;
     EXPECT_EQ(got.trials, want.trials) << "guess " << guess;
   }
