@@ -22,23 +22,36 @@ double Variance(std::span<const double> xs) {
 
 double Stddev(std::span<const double> xs) { return std::sqrt(Variance(xs)); }
 
-double Percentile(std::span<const double> xs, double q) {
-  std::vector<double> scratch;
-  return Percentile(xs, q, scratch);
+namespace {
+
+/// The linear-interpolated q-th percentile of n sorted values sits at this
+/// fractional rank: between ranks floor(rank) and ceil(rank).
+double RankOf(std::size_t n, double q) {
+  return std::clamp(q, 0.0, 100.0) / 100.0 * static_cast<double>(n - 1);
 }
 
-double Percentile(std::span<const double> xs, double q,
-                  std::vector<double>& scratch) {
+}  // namespace
+
+double Percentile(std::span<const double> xs, double q) {
   if (xs.empty()) return 0.0;
-  scratch.assign(xs.begin(), xs.end());
-  std::sort(scratch.begin(), scratch.end());
-  const double clamped = std::clamp(q, 0.0, 100.0);
-  const double rank =
-      clamped / 100.0 * static_cast<double>(scratch.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
-  const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
-  const double frac = rank - static_cast<double>(lo);
-  return scratch[lo] + (scratch[hi] - scratch[lo]) * frac;
+  std::vector<double> sorted(xs.begin(), xs.end());
+  std::sort(sorted.begin(), sorted.end());
+  const double rank = RankOf(sorted.size(), q);
+  const auto lo = static_cast<std::size_t>(std::floor(rank));
+  const auto hi = static_cast<std::size_t>(std::ceil(rank));
+  return sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - std::floor(rank));
+}
+
+double PercentileInPlace(std::span<double> xs, double q) {
+  if (xs.empty()) return 0.0;
+  const double rank = RankOf(xs.size(), q);
+  const auto lo = static_cast<std::size_t>(std::floor(rank));
+  std::nth_element(xs.begin(), xs.begin() + lo, xs.end());
+  // Everything after rank lo is >= it, so rank lo + 1 is the tail's minimum.
+  const double hi = rank > std::floor(rank)
+                        ? *std::min_element(xs.begin() + lo + 1, xs.end())
+                        : xs[lo];
+  return xs[lo] + (hi - xs[lo]) * (rank - std::floor(rank));
 }
 
 double PearsonCorrelation(std::span<const double> xs,

@@ -22,11 +22,12 @@ double Stddev(std::span<const double> xs);
 /// Returns 0 for an empty span.
 double Percentile(std::span<const double> xs, double q);
 
-/// Percentile variant for hot callers: sorts into `scratch` (resized and
-/// overwritten) instead of a fresh vector, so a caller computing one
-/// percentile per metrics window allocates nothing in steady state.
-double Percentile(std::span<const double> xs, double q,
-                  std::vector<double>& scratch);
+/// Percentile(xs, q) without the copy, for hot callers: selects the
+/// ranks in place (nth_element, then the minimum of the tail above the
+/// lower rank), so it allocates nothing and leaves `xs` reordered. The
+/// result is bit-identical to Percentile(xs, q). A caller that also
+/// wants Mean(xs) takes it first, because Mean sums in order.
+double PercentileInPlace(std::span<double> xs, double q);
 
 /// Pearson correlation coefficient of two equal-length series.
 /// Returns 0 if either series is constant or the series are empty.

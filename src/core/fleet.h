@@ -455,16 +455,26 @@ class Fleet {
                                       FleetServeOptions options = {}) const;
 
  private:
+  /// One ServeAll co-simulation, split into named parts (fleet.cc).
+  class Run;
+
   Fleet(const cloud::Catalog& catalog, FleetOptions options);
 
-  /// Index of `model` in names_, or npos.
-  std::size_t IndexOf(const std::string& model) const;
+  /// Index of `model` in names_, or kNotFound.
+  StatusOr<std::size_t> Find(const std::string& model) const;
+
+  /// The fleet index of every model of `plan`, in plan order; kNotFound.
+  StatusOr<std::vector<std::size_t>> Resolve(const FleetPlan& plan) const;
 
   /// The mix model i observes / is measured under: its own trace when
   /// set, `fallback` otherwise.
   const workload::BatchDistribution& MixFor(std::size_t i,
                                             const workload::BatchDistribution&
                                                 fallback) const;
+
+  /// The budget split over `models` (fleet indices, in share order), each
+  /// demand-weighted by its arrival_scale; no probe set.
+  AllocationProblem Allocation(const std::vector<std::size_t>& models) const;
 
   const cloud::Catalog& catalog_;
   FleetOptions options_;

@@ -12,11 +12,27 @@ Kairos::Kairos(const cloud::Catalog& catalog, const std::string& model,
       spec_(latency::FindModel(model)),
       truth_(spec_.Instantiate(catalog)),
       qos_ms_(spec_.qos_ms * options.qos_scale),
-      options_(options),
-      monitor_(options.monitor_warmup) {
+      // Checked here, ahead of monitor_, whose window must be positive.
+      options_([&options] {
+        const Status valid = Validate(options);
+        if (!valid.ok()) {
+          throw std::invalid_argument("Kairos: " + valid.message());
+        }
+        return options;
+      }()),
+      monitor_(options.monitor_warmup) {}
+
+Status Kairos::Validate(const KairosOptions& options) {
   if (options.qos_scale <= 0.0) {
-    throw std::invalid_argument("Kairos: qos_scale must be positive");
+    return Status::InvalidArgument("qos_scale must be positive");
   }
+  if (options.budget_per_hour <= 0.0) {
+    return Status::InvalidArgument("budget_per_hour must be positive");
+  }
+  if (options.monitor_warmup == 0) {
+    return Status::InvalidArgument("monitor_warmup must be positive");
+  }
+  return Status::Ok();
 }
 
 void Kairos::ObserveMix(const workload::BatchDistribution& mix) {
@@ -65,15 +81,7 @@ StatusOr<Kairos> Kairos::Create(const cloud::Catalog& catalog,
     return Status::NotFound("unknown model \"" + model +
                             "\"; Table-3 models: " + latency::ModelZooNames());
   }
-  if (options.qos_scale <= 0.0) {
-    return Status::InvalidArgument("qos_scale must be positive");
-  }
-  if (options.budget_per_hour <= 0.0) {
-    return Status::InvalidArgument("budget_per_hour must be positive");
-  }
-  if (options.monitor_warmup == 0) {
-    return Status::InvalidArgument("monitor_warmup must be positive");
-  }
+  if (Status valid = Validate(options); !valid.ok()) return valid;
   return Kairos(catalog, model, options);
 }
 

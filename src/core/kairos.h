@@ -58,8 +58,9 @@ struct KairosOptions {
 class Kairos {
  public:
   /// `catalog` must outlive the facade. `model` is a Table-3 name.
-  /// Throws std::out_of_range for an unknown model; prefer Create() in
-  /// code that wants Status-based errors.
+  /// Throws std::out_of_range for an unknown model and
+  /// std::invalid_argument for the options Create() rejects; prefer
+  /// Create() in code that wants Status-based errors.
   Kairos(const cloud::Catalog& catalog, const std::string& model,
          KairosOptions options = {});
 
@@ -110,6 +111,11 @@ class Kairos {
   const cloud::Catalog& catalog() const { return catalog_; }
 
  private:
+  /// The one list of option checks: kInvalidArgument when qos_scale,
+  /// budget_per_hour or monitor_warmup is not positive. Create() returns
+  /// it; the constructor throws it.
+  static Status Validate(const KairosOptions& options);
+
   const cloud::Catalog& catalog_;
   const latency::ModelSpec& spec_;
   latency::LatencyModel truth_;

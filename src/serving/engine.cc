@@ -523,9 +523,10 @@ WindowedMetrics Engine::TakeWindow() {
   window.rejected = window_rejected_;
   window.shed = window_shed_;
   if (!window_latencies_ms_.empty()) {
-    window.p99_ms =
-        Percentile(window_latencies_ms_, 99.0, percentile_scratch_);
+    // Mean first: it sums in completion order, and the selection below
+    // reorders the latencies in place (they are cleared at the end).
     window.mean_ms = Mean(window_latencies_ms_);
+    window.p99_ms = PercentileInPlace(window_latencies_ms_, 99.0);
   }
   const Time span = window.end - window.start;
   if (span > 0.0) {

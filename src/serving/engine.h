@@ -504,7 +504,6 @@ class Engine {
   std::size_t window_queue_max_ = 0;   ///< max queue depth seen at arrivals
   double window_queue_sum_ = 0.0;      ///< sum of depths (mean = /offered)
   std::vector<double> window_latencies_ms_;
-  std::vector<double> percentile_scratch_;  ///< TakeWindow p99 sort scratch
 };
 
 }  // namespace kairos::serving

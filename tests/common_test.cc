@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "common/env.h"
@@ -125,6 +127,34 @@ TEST(StatsTest, PercentileInterpolates) {
 TEST(StatsTest, PercentileUnsortedInput) {
   const std::vector<double> xs = {9.0, 1.0, 5.0, 3.0, 7.0};
   EXPECT_DOUBLE_EQ(Percentile(xs, 50.0), 5.0);
+}
+
+TEST(StatsTest, PercentileInPlaceMatchesSortingPercentileBitForBit) {
+  // The in-place selection is raced against the sorting oracle over
+  // random vectors: continuous draws, and draws from a handful of values
+  // so that ties straddle the selected ranks.
+  Rng rng(20261019);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{100},
+                              std::size_t{101}}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const bool ties = trial % 2 == 1;
+      std::vector<double> xs(n);
+      for (double& x : xs) {
+        x = ties ? static_cast<double>(rng.UniformInt(0, 4)) * 2.5
+                 : rng.LogNormal(3.0, 1.0);
+      }
+      for (const double q : {0.0, 1.0, 37.5, 50.0, 90.0, 99.0, 99.9, 100.0}) {
+        const double sorted = Percentile(xs, q);
+        std::vector<double> scratch = xs;
+        const double selected = PercentileInPlace(scratch, q);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(selected),
+                  std::bit_cast<std::uint64_t>(sorted))
+            << "n=" << n << " q=" << q << " ties=" << ties;
+      }
+    }
+  }
+  std::vector<double> empty;
+  EXPECT_EQ(PercentileInPlace(empty, 99.0), 0.0);
 }
 
 TEST(StatsTest, PearsonPerfectCorrelation) {

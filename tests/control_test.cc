@@ -10,9 +10,11 @@
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
 #include "control/controllers.h"
 #include "core/fleet.h"
 #include "policy/kairos_policy.h"
+#include "telemetry/telemetry.h"
 
 namespace kairos::control {
 namespace {
@@ -506,6 +508,233 @@ TEST(FleetControlTest, UnknownControllerAndBadKnobsSurfaceAsStatus) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(rejected.status().message().find("COMPOSITE"),
             std::string::npos);
+}
+
+// --- Malformed actions: the applier's one check. ---
+
+/// A test-only controller. At its first decision it emits the one
+/// malformed action its "case" knob selects, then nothing ever again.
+/// "live_mix" sets NeedsLiveMix(); "reallocate_first" lists a well-formed
+/// kReallocate ahead of the malformed action.
+class MalformedController final : public FleetController {
+ public:
+  MalformedController(ControlAction action, bool live_mix,
+                      bool reallocate_first)
+      : action_(std::move(action)),
+        live_mix_(live_mix),
+        reallocate_first_(reallocate_first) {}
+
+  std::string Name() const override { return "MALFORMED"; }
+  bool NeedsLiveMix() const override { return live_mix_; }
+
+  std::vector<ControlAction> Decide(const FleetTelemetry&) override {
+    if (fired_) return {};
+    fired_ = true;
+    std::vector<ControlAction> actions;
+    if (reallocate_first_) {
+      ControlAction reallocate;
+      reallocate.kind = ControlActionKind::kReallocate;
+      reallocate.reason = "well-formed";
+      actions.push_back(reallocate);
+    }
+    actions.push_back(action_);
+    return actions;
+  }
+
+ private:
+  ControlAction action_;
+  bool live_mix_ = false;
+  bool reallocate_first_ = false;
+  bool fired_ = false;
+};
+
+/// The SpikeFleet serves 3 models, so model index 3 is out of range.
+ControlAction MalformedAction(int which) {
+  ControlAction action;
+  action.model = 3;
+  action.reason = "malformed on purpose";
+  switch (which) {
+    case 0: action.kind = ControlActionKind::kResetMonitor; break;
+    case 1: action.kind = ControlActionKind::kBorrowBudget; break;
+    case 2: action.kind = ControlActionKind::kRespread; break;
+    case 3: action.kind = ControlActionKind::kFailover; break;
+    case 4: action.kind = ControlActionKind::kSetShed; break;
+    case 5:  // a negative borrow
+      action.kind = ControlActionKind::kBorrowBudget;
+      action.model = 0;
+      action.amount_per_hour = -1.0;
+      break;
+    default:  // a reset while NeedsLiveMix() is false
+      action.kind = ControlActionKind::kResetMonitor;
+      action.model = 0;
+      break;
+  }
+  return action;
+}
+
+const ControllerRegistrar kMalformed(
+    ControllerInfo{"MALFORMED",
+                   "test only: one malformed action at the first decision",
+                   {{"case", 0.0},
+                    {"live_mix", 0.0},
+                    {"reallocate_first", 0.0}}},
+    [](const KnobMap& knobs) -> StatusOr<std::unique_ptr<FleetController>> {
+      return std::unique_ptr<FleetController>(
+          std::make_unique<MalformedController>(
+              MalformedAction(static_cast<int>(knobs.at("case"))),
+              knobs.at("live_mix") != 0.0,
+              knobs.at("reallocate_first") != 0.0));
+    });
+
+TEST(FleetControlTest, MalformedActionsSurfaceAsStatus) {
+  const core::Fleet fleet = SpikeFleet();
+  const auto plan = fleet.PlanAll();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  struct Case {
+    int which;
+    bool live_mix;
+    StatusCode code;
+    std::string message;
+  };
+  const std::string out_of_range =
+      ", but the served plan has 3 models";
+  const std::vector<Case> cases = {
+      {0, true, StatusCode::kInvalidArgument,
+       "controller MALFORMED reset the monitor of model index 3" +
+           out_of_range},
+      {1, false, StatusCode::kInvalidArgument,
+       "controller MALFORMED targeted model index 3 with BORROW_BUDGET" +
+           out_of_range},
+      {2, false, StatusCode::kInvalidArgument,
+       "controller MALFORMED targeted model index 3 with RESPREAD" +
+           out_of_range},
+      {3, false, StatusCode::kInvalidArgument,
+       "controller MALFORMED targeted model index 3 with FAILOVER" +
+           out_of_range},
+      {4, false, StatusCode::kInvalidArgument,
+       "controller MALFORMED targeted model index 3 with SET_SHED" +
+           out_of_range},
+      {5, false, StatusCode::kInvalidArgument,
+       "controller MALFORMED emitted BORROW_BUDGET with a negative amount (" +
+           FormatDollarsPerHour(-1.0) + ")"},
+      {6, false, StatusCode::kFailedPrecondition,
+       "controller MALFORMED emitted kResetMonitor but NeedsLiveMix() is "
+       "false, so no live mix exists to reset to"},
+  };
+  for (const Case& c : cases) {
+    core::FleetServeOptions serve = SpikeServe("MALFORMED");
+    serve.controller_knobs = {{"case", c.which},
+                              {"live_mix", c.live_mix ? 1.0 : 0.0}};
+    const auto served = fleet.ServeAll(*plan, serve);
+    ASSERT_FALSE(served.ok()) << "case " << c.which;
+    EXPECT_EQ(served.status().code(), c.code) << "case " << c.which;
+    EXPECT_EQ(served.status().message(), c.message) << "case " << c.which;
+  }
+}
+
+TEST(FleetControlTest, MalformedActionIsRejectedBeforeAnyActionApplies) {
+  // A well-formed kReallocate listed ahead of a malformed kSetShed: the
+  // barrier's actions are all checked before any is applied, so the
+  // re-split never starts — no "fleet.realloc" or "fleet.replan" span.
+  const core::Fleet fleet = SpikeFleet();
+  const auto plan = fleet.PlanAll();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto tel = telemetry::Telemetry::Create({"RM2", "WND", "NCF"});
+  ASSERT_TRUE(tel.ok()) << tel.status().ToString();
+
+  core::FleetServeOptions serve = SpikeServe("MALFORMED");
+  serve.controller_knobs = {{"case", 4.0}, {"reallocate_first", 1.0}};
+  serve.telemetry = tel->get();
+  const auto served = fleet.ServeAll(*plan, serve);
+  ASSERT_FALSE(served.ok());
+  EXPECT_EQ(served.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(served.status().message().find("SET_SHED"), std::string::npos);
+
+  std::size_t decides = 0;
+  std::size_t replans = 0;
+  for (const telemetry::TraceEvent& event : (*tel)->tracer().AllEvents()) {
+    if (event.name == "control.decide") ++decides;
+    if (event.name == "fleet.realloc" || event.name == "fleet.replan") {
+      ++replans;
+    }
+  }
+  EXPECT_EQ(decides, 1u);
+  EXPECT_EQ(replans, 0u);
+}
+
+// --- The loan ledger's repayments. ---
+
+/// A test-only lender: borrows "amount" $/hr for model 0 at its first
+/// decision and never repays; with "reallocate" set, it re-splits the
+/// budget at its second decision.
+class LenderController final : public FleetController {
+ public:
+  LenderController(double amount, bool reallocate)
+      : amount_(amount), reallocate_(reallocate) {}
+
+  std::string Name() const override { return "LENDER"; }
+
+  std::vector<ControlAction> Decide(const FleetTelemetry&) override {
+    ++decisions_;
+    ControlAction action;
+    if (decisions_ == 1) {
+      action.kind = ControlActionKind::kBorrowBudget;
+      action.model = 0;
+      action.amount_per_hour = amount_;
+      action.reason = "borrow, never repay";
+      return {action};
+    }
+    if (decisions_ == 2 && reallocate_) {
+      action.kind = ControlActionKind::kReallocate;
+      action.reason = "re-split over the loan";
+      return {action};
+    }
+    return {};
+  }
+
+ private:
+  double amount_ = 0.0;
+  bool reallocate_ = false;
+  std::size_t decisions_ = 0;
+};
+
+const ControllerRegistrar kLender(
+    ControllerInfo{"LENDER",
+                   "test only: one loan at the first decision, never repaid",
+                   {{"amount", 1.0}, {"reallocate", 0.0}}},
+    [](const KnobMap& knobs) -> StatusOr<std::unique_ptr<FleetController>> {
+      return std::unique_ptr<FleetController>(
+          std::make_unique<LenderController>(knobs.at("amount"),
+                                             knobs.at("reallocate") != 0.0));
+    });
+
+TEST(FleetControlTest, OutstandingLoansAreRepaidByReSplitOrAtTheHorizon) {
+  // A loan the controller never repays is still repaid exactly once: by a
+  // later re-split, which re-derives every share, or else by the horizon
+  // force-repay, which returns the shares to the plan's split.
+  const core::Fleet fleet = SpikeFleet();
+  const auto plan = fleet.PlanAll();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  for (const bool reallocate : {false, true}) {
+    core::FleetServeOptions serve = SpikeServe("LENDER");
+    serve.controller_knobs = {{"reallocate", reallocate ? 1.0 : 0.0}};
+    const auto served = fleet.ServeAll(*plan, serve);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(served->borrows, 1u) << "reallocate=" << reallocate;
+    EXPECT_EQ(served->paybacks, 1u) << "reallocate=" << reallocate;
+    EXPECT_EQ(served->reallocations, reallocate ? 1u : 0u);
+    EXPECT_GT(served->budget_borrowed_per_hour, 0.0);
+    EXPECT_EQ(served->budget_borrowed_per_hour,
+              served->budget_repaid_per_hour);
+    if (!reallocate) {
+      ASSERT_EQ(served->final_shares_per_hour.size(), plan->models.size());
+      for (std::size_t j = 0; j < plan->models.size(); ++j) {
+        EXPECT_NEAR(served->final_shares_per_hour[j],
+                    plan->models[j].budget_per_hour, 1e-9);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -70,6 +70,24 @@ TEST(KairosFacadeTest, QosScaleMultipliesTable3Target) {
                std::invalid_argument);
 }
 
+TEST(KairosFacadeTest, ConstructorRejectsWhatCreateRejects) {
+  // One validation list: the throwing constructor refuses every option
+  // Create() refuses, instead of constructing a session whose first plan
+  // (or monitor) fails later.
+  const Catalog catalog = Catalog::PaperPool();
+  for (const KairosOptions& bad :
+       {KairosOptions{.qos_scale = 0.0}, KairosOptions{.budget_per_hour = 0.0},
+        KairosOptions{.monitor_warmup = 0}}) {
+    EXPECT_THROW(Kairos(catalog, "RM2", bad), std::invalid_argument);
+    const auto created = Kairos::Create(catalog, "RM2", bad);
+    ASSERT_FALSE(created.ok());
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+  }
+  // An unknown model is still reported first, as std::out_of_range.
+  EXPECT_THROW(Kairos(catalog, "LLAMA", KairosOptions{.budget_per_hour = 0.0}),
+               std::out_of_range);
+}
+
 TEST(KairosFacadeTest, UnknownModelThrows) {
   const Catalog catalog = Catalog::PaperPool();
   EXPECT_THROW(Kairos(catalog, "LLAMA"), std::out_of_range);
