@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "rpc/channel.h"
 #include "rpc/netem.h"
-#include "sim/simulator.h"
 
 namespace kairos::rpc {
 namespace {
@@ -90,39 +88,6 @@ TEST(NetworkModelTest, LossAddsRetransmissionPenalties) {
   EXPECT_NEAR(lossy_sum / 4000.0, 5.0 * 100e-6, 1.0 * 100e-6);
   EXPECT_GT(lossy_sum, 2.0 * clean_sum);
   EXPECT_GT(lossy_max, 4.0 * 100e-6);  // at least one retransmitted sample
-}
-
-TEST(ChannelTest, SendDeliversAfterOneHop) {
-  sim::Simulator sim;
-  Channel ch(sim, NetworkModel(100.0, 0.0), Rng(3));
-  Time delivered_at = -1.0;
-  ch.Send([&] { delivered_at = sim.Now(); });
-  sim.RunUntil();
-  EXPECT_DOUBLE_EQ(delivered_at, 100e-6);
-  EXPECT_EQ(ch.stats().messages, 1u);
-}
-
-TEST(ChannelTest, CallIsTwoHopsInOrder) {
-  sim::Simulator sim;
-  Channel ch(sim, NetworkModel(100.0, 0.0), Rng(4));
-  Time server_at = -1.0, reply_at = -1.0;
-  ch.Call([&] { server_at = sim.Now(); }, [&] { reply_at = sim.Now(); });
-  sim.RunUntil();
-  EXPECT_DOUBLE_EQ(server_at, 100e-6);
-  EXPECT_DOUBLE_EQ(reply_at, 200e-6);
-  EXPECT_EQ(ch.stats().messages, 2u);
-  EXPECT_NEAR(ch.stats().total_delay, 200e-6, 1e-12);
-}
-
-TEST(ChannelTest, ConcurrentCallsInterleaveByDelay) {
-  sim::Simulator sim;
-  Channel fast(sim, NetworkModel(10.0, 0.0), Rng(5));
-  Channel slow(sim, NetworkModel(500.0, 0.0), Rng(6));
-  std::vector<int> order;
-  slow.Send([&] { order.push_back(2); });
-  fast.Send([&] { order.push_back(1); });
-  sim.RunUntil();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
 }  // namespace
