@@ -13,9 +13,9 @@ int main() {
   const bench::ModelBench mb(catalog, "RM2");
   const auto mix = workload::LogNormalBatches::Production();
 
-  core::Kairos kairos(catalog, "RM2");
+  core::Kairos kairos = bench::OrDie(core::Kairos::Create(catalog, "RM2"));
   kairos.ObserveMix(mix);
-  const core::Plan plan = kairos.PlanConfiguration();
+  const core::Plan plan = bench::OrDie(kairos.PlanConfiguration());
   const double guess = plan.ranked.front().upper_bound * 0.5;
 
   auto qps_with = [&](policy::KairosPolicyOptions opts,

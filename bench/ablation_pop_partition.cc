@@ -14,9 +14,9 @@ int main() {
   const bench::ModelBench mb(catalog, "RM2");
   const auto mix = workload::LogNormalBatches::Production();
 
-  core::Kairos facade(catalog, "RM2");
+  core::Kairos facade = bench::OrDie(core::Kairos::Create(catalog, "RM2"));
   facade.ObserveMix(mix);
-  const core::Plan plan = facade.PlanConfiguration();
+  const core::Plan plan = bench::OrDie(facade.PlanConfiguration());
   const double guess = plan.ranked.front().upper_bound * 0.5;
 
   TextTable table({"partitions k", "QPS", "vs k=1"});

@@ -35,13 +35,13 @@ int main() {
   for (const auto& [label, scheme] :
        {std::pair<std::string, std::string>{"Naive FCFS", "RIBBON"},
         {"KAIROS", "KAIROS"}}) {
-    serving::Engine engine(
-        spec, bench::OrDie(PolicyRegistry::Global().Build(scheme)), {}, keep);
+    const auto engine = bench::OrDie(serving::Engine::Create(
+        spec, bench::OrDie(PolicyRegistry::Global().Build(scheme)), {}, keep));
     for (const workload::Query& q : trace.queries()) {
-      bench::OrDie(engine.Submit(q));
+      bench::OrDie(engine->Submit(q));
     }
-    engine.Drain();
-    const serving::RunResult run = engine.Totals();
+    engine->Drain();
+    const serving::RunResult run = engine->Totals();
     TextTable table({"query", "batch", "served on", "latency (ms)",
                      "meets QoS (350 ms)"});
     for (const serving::ServedRecord& rec : run.records) {

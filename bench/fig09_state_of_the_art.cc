@@ -24,9 +24,9 @@ int main() {
   TextTable abs_table({"model", "scheme", "config", "QPS"});
   for (const std::string& model : bench::Models()) {
     const bench::ModelBench mb(catalog, model);
-    core::Kairos kairos(catalog, model);
+    core::Kairos kairos = bench::OrDie(core::Kairos::Create(catalog, model));
     kairos.ObserveMix(mix);
-    const core::Plan plan = kairos.PlanConfiguration();
+    const core::Plan plan = bench::OrDie(kairos.PlanConfiguration());
     const double guess = plan.ranked.front().upper_bound * 0.5;
 
     const auto [ribbon_cfg, ribbon] =
@@ -41,7 +41,7 @@ int main() {
     const search::EvalFn eval = [&](const cloud::Config& c) {
       return mb.Throughput(c, "KAIROS", mix, guess);
     };
-    const auto plus = kairos.PlanWithEvaluations(eval);
+    const auto plus = bench::OrDie(kairos.PlanWithEvaluations(eval));
 
     // Oracle at its own optimal configuration.
     const auto oracle_search = oracle::OracleSearch(

@@ -51,9 +51,9 @@ int main(int argc, char** argv) {
   serve.launch_lag_s = 1.0;
   serve.shifts = {core::FleetLoadShift{shift_time, "RM2", shift_scale}};
 
-  serve.realloc_period_s = 0.0;
   const auto frozen = bench::OrDie(fleet.ServeAll(plan, serve));
-  serve.realloc_period_s = period;
+  serve.controller = "PERIODIC";
+  serve.controller_knobs = {{"period_s", period}};
   const auto adaptive = bench::OrDie(fleet.ServeAll(plan, serve));
 
   // Same shared-clock arrival schedule in both runs; only service differs.

@@ -27,9 +27,10 @@ void RunVariant(const std::string& title, double budget, double qos_scale) {
     core::KairosOptions options;
     options.budget_per_hour = budget;
     options.qos_scale = qos_scale;
-    core::Kairos kairos(catalog, model, options);
+    core::Kairos kairos =
+        bench::OrDie(core::Kairos::Create(catalog, model, options));
     kairos.ObserveMix(mix);
-    const core::Plan plan = kairos.PlanConfiguration();
+    const core::Plan plan = bench::OrDie(kairos.PlanConfiguration());
 
     const bench::ModelBench mb(catalog, model, budget, qos_scale);
     const double guess = plan.ranked.front().upper_bound * 0.5;

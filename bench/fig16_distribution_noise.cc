@@ -17,9 +17,9 @@ int main() {
     TextTable table({"model", "Kairos config", "Kairos QPS",
                      "homogeneous QPS (scaled)", "ratio"});
     for (const std::string& model : bench::Models()) {
-      core::Kairos kairos(catalog, model);
+      core::Kairos kairos = bench::OrDie(core::Kairos::Create(catalog, model));
       kairos.ObserveMix(gaussian);
-      const core::Plan plan = kairos.PlanConfiguration();
+      const core::Plan plan = bench::OrDie(kairos.PlanConfiguration());
       const bench::ModelBench mb(catalog, model);
       const double guess = plan.ranked.front().upper_bound * 0.5;
       const double hetero =
@@ -40,9 +40,9 @@ int main() {
     TextTable table({"model", "Kairos config", "QPS (exact pred.)",
                      "QPS (5% noise)", "noise penalty"});
     for (const std::string& model : bench::Models()) {
-      core::Kairos kairos(catalog, model);
+      core::Kairos kairos = bench::OrDie(core::Kairos::Create(catalog, model));
       kairos.ObserveMix(mix);
-      const core::Plan plan = kairos.PlanConfiguration();
+      const core::Plan plan = bench::OrDie(kairos.PlanConfiguration());
       const bench::ModelBench mb(catalog, model);
       const double guess = plan.ranked.front().upper_bound * 0.5;
       const double clean = mb.Throughput(plan.config, "KAIROS", mix, guess);

@@ -71,7 +71,9 @@ int main(int argc, char** argv) {
     serve.launch_lag_s = 1.0;
     serve.shifts = {core::FleetLoadShift{spike_time, "RM2", spike_scale}};
     serve.controller = run.controller;
-    if (run.controller == "PERIODIC") serve.realloc_period_s = period;
+    if (run.controller == "PERIODIC") {
+      serve.controller_knobs = {{"period_s", period}};
+    }
     if (run.controller == "QOS" || run.controller == "COMPOSITE") {
       // A 10% hysteresis margin over the QoS bound: the initial plan runs
       // RM2 within ~1% of its target, so the default hair-trigger would

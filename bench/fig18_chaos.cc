@@ -85,7 +85,9 @@ int main(int argc, char** argv) {
     serve.window_s = window;
     serve.launch_lag_s = 1.0;
     serve.controller = run.controller;
-    if (run.controller == "PERIODIC") serve.realloc_period_s = period;
+    if (run.controller == "PERIODIC") {
+      serve.controller_knobs = {{"period_s", period}};
+    }
     if (run.controller == "COMPOSITE") {
       // QOS with fig17's hysteresis margin, plus the chaos-aware FAILOVER
       // child; BACKLOG / DRIFT add nothing to a capacity-loss story.

@@ -93,7 +93,8 @@ BENCHMARK(BM_KairosPlusWholeSpace)->Apply(BudgetArgs);
 void BM_PlanConfigurationEndToEnd(benchmark::State& state) {
   using namespace kairos;
   const cloud::Catalog catalog = cloud::Catalog::PaperPool();
-  core::Kairos kairos(catalog, "RM2");
+  // Create() cannot refuse a Table-3 model with default options.
+  core::Kairos kairos = *core::Kairos::Create(catalog, "RM2");
   kairos.ObserveMix(workload::LogNormalBatches::Production());
   for (auto _ : state) {
     benchmark::DoNotOptimize(kairos.PlanConfiguration());

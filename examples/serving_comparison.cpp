@@ -30,14 +30,18 @@ int main(int argc, char** argv) {
   }
   core::Kairos& kairos = *created;
   kairos.ObserveMix(mix);
-  const core::Plan plan = kairos.PlanConfiguration();
+  const auto plan = kairos.PlanConfiguration();
+  if (!plan.ok()) {
+    std::cerr << plan.status().ToString() << "\n";
+    return 1;
+  }
   const double rate =
-      argc > 2 ? std::stod(argv[2]) : plan.ranked.front().upper_bound * 0.6;
+      argc > 2 ? std::stod(argv[2]) : plan->ranked.front().upper_bound * 0.6;
 
   Rng rng(11);
   const workload::Trace trace = workload::Trace::Generate(
       workload::PoissonArrivals(rate), mix, 4000, rng);
-  std::cout << "model " << model << ", config " << plan.config.ToString()
+  std::cout << "model " << model << ", config " << plan->config.ToString()
             << ", offered load " << TextTable::Num(rate) << " QPS, "
             << trace.size() << " queries\n";
 
@@ -45,7 +49,7 @@ int main(int argc, char** argv) {
   // type can serve within QoS (everything above must go to the base pool).
   int drs_threshold = 0;
   for (const cloud::TypeId t : catalog.AuxiliaryTypes()) {
-    if (plan.config.Count(t) > 0) {
+    if (plan->config.Count(t) > 0) {
       drs_threshold = std::max(
           drs_threshold, kairos.truth().MaxQosBatch(t, kairos.qos_ms()));
     }
@@ -63,25 +67,30 @@ int main(int argc, char** argv) {
     }
     serving::SystemSpec spec;
     spec.catalog = &catalog;
-    spec.config = plan.config;
+    spec.config = plan->config;
     spec.truth = &kairos.truth();
     spec.qos_ms = kairos.qos_ms();
     serving::EngineOptions options;
     options.run.abort_violation_fraction = 0.0;  // serve everything
-    serving::Engine engine(spec, *std::move(policy), {}, options);
+    auto engine =
+        serving::Engine::Create(spec, *std::move(policy), {}, options);
+    if (!engine.ok()) {
+      std::cerr << engine.status().ToString() << "\n";
+      return 1;
+    }
     for (const workload::Query& q : trace.queries()) {
-      if (const Status status = engine.Submit(q); !status.ok()) {
+      if (const Status status = (*engine)->Submit(q); !status.ok()) {
         std::cerr << status.ToString() << "\n";
         return 1;
       }
     }
-    engine.Drain();
-    const serving::RunResult run = engine.Totals();
+    (*engine)->Drain();
+    const serving::RunResult run = (*engine)->Totals();
 
     double gpu_busy = 0.0, cpu_busy = 0.0;
     double gpu_count = 0.0, cpu_count = 0.0;
     for (cloud::TypeId t = 0; t < catalog.size(); ++t) {
-      const double nodes = plan.config.Count(t);
+      const double nodes = plan->config.Count(t);
       if (nodes == 0) continue;
       if (catalog[t].is_base) {
         gpu_busy += run.per_type_busy[t];
@@ -108,10 +117,14 @@ int main(int argc, char** argv) {
   const workload::GaussianBatches shifted(850.0, 60.0);
   kairos.ResetMonitor();
   kairos.ObserveMix(shifted);
-  const core::Plan replan = kairos.PlanConfiguration();
+  const auto replan = kairos.PlanConfiguration();
+  if (!replan.ok()) {
+    std::cerr << replan.status().ToString() << "\n";
+    return 1;
+  }
   std::cout << "\nworkload shifted to " << shifted.Name()
-            << ": Kairos re-plans " << plan.config.ToString() << " -> "
-            << replan.config.ToString() << " in one shot ("
+            << ": Kairos re-plans " << plan->config.ToString() << " -> "
+            << replan->config.ToString() << " in one shot ("
             << "0 online evaluations)\n";
   return 0;
 }

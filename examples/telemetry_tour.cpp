@@ -59,7 +59,8 @@ int main(int argc, char** argv) {
   serve.duration_s = 20.0;
   serve.base_rate_qps = 25.0;
   serve.window_s = 2.5;
-  serve.realloc_period_s = 7.5;
+  serve.controller = "PERIODIC";
+  serve.controller_knobs = {{"period_s", 7.5}};
   serve.shifts = {kairos::core::FleetLoadShift{8.0, "RM2", 4.0}};
   serve.chaos = "SPOT_PREEMPTION";
   serve.telemetry = telemetry->get();

@@ -1,8 +1,11 @@
 // Lightweight error handling for the public API. Fallible entry points —
-// registry lookups, facade construction, fleet planning — return a Status
-// (or StatusOr<T>) instead of throwing, so callers can branch on the error
-// and print the message; exceptions remain only behind the deprecated
-// shims that predate this header (see DESIGN.md Sec. 7).
+// registry lookups, facade construction (Kairos::Create, Engine::Create,
+// Fleet::Create, the only constructors), planning, serving — return a
+// Status (or StatusOr<T>) instead of throwing, so callers can branch on
+// the error and print the message. No facade throws on caller input; the
+// one documented exception is the throughput evaluator's
+// std::invalid_argument for a config with no instance, whose double result
+// feeds the searches (see DESIGN.md Sec. 7).
 #pragma once
 
 #include <cstdlib>

@@ -1,8 +1,8 @@
 // "PERIODIC": the pre-control-plane reallocation loop as a controller —
 // one kReallocate every period_s, demand rates measured over exactly the
-// period. Fleet::ServeAll with realloc_period_s > 0 and no named
-// controller routes here, and tests/fleet_serve_test.cc asserts the
-// outcome is bit-identical to the explicit "PERIODIC" spelling.
+// period. Fleet::ServeAll reallocates periodically only through it
+// (FleetServeOptions::controller = "PERIODIC" with a "period_s" knob);
+// COMPOSITE chains it as a safety net behind closed-loop siblings.
 #include <string>
 
 #include "common/strings.h"

@@ -15,7 +15,6 @@
 #include "chaos/injector.h"
 #include "common/parallel.h"
 #include "common/strings.h"
-#include "control/controllers.h"
 #include "latency/model_zoo.h"
 #include "rpc/netem.h"
 #include "sim/simulator.h"
@@ -204,9 +203,6 @@ Status CheckServeOptions(const FleetServeOptions& options) {
     return Status::InvalidArgument(
         "ServeAll needs positive duration_s, base_rate_qps and window_s");
   }
-  if (options.realloc_period_s < 0.0) {
-    return Status::InvalidArgument("realloc_period_s must be >= 0");
-  }
   if (options.admission.max_queue_s < 0.0 ||
       options.admission.deadline_s < 0.0) {
     return Status::InvalidArgument(
@@ -240,46 +236,23 @@ Status CheckShifts(const FleetServeOptions& options,
   return Status::Ok();
 }
 
-/// The control plane. "" keeps the legacy wiring: a PERIODIC controller
-/// at realloc_period_s when positive, no control loop (nullptr: frozen
-/// allocation) otherwise. A named controller that declares a "period_s"
-/// knob inherits realloc_period_s unless overridden.
+/// The control plane: the named controller, nullptr (frozen allocation)
+/// for none.
 StatusOr<std::unique_ptr<control::FleetController>> ResolveController(
     const FleetServeOptions& options) {
   if (options.controller.empty() && !options.controller_knobs.empty()) {
-    // Knobs without a controller would be dropped silently — the legacy
-    // PERIODIC wiring takes no knobs; misconfiguration fails loudly like
-    // every other knob path.
+    // Knobs without a controller would be dropped silently;
+    // misconfiguration fails loudly like every other knob path.
     return Status::InvalidArgument(
         "controller_knobs were given but no controller is named; set "
         "FleetServeOptions::controller (registered controllers: " +
         JoinComma(control::ControllerRegistry::Global().ListNames()) + ")");
   }
   if (options.controller.empty()) {
-    return options.realloc_period_s > 0.0
-               ? control::MakePeriodicController(options.realloc_period_s)
-               : nullptr;
+    return std::unique_ptr<control::FleetController>();
   }
-  control::KnobMap knobs = options.controller_knobs;
-  auto info = control::ControllerRegistry::Global().Info(options.controller);
-  if (!info.ok()) return info.status();
-  if (options.realloc_period_s > 0.0) {
-    // The period must land somewhere: a controller without a period_s
-    // knob (QOS, BACKLOG, DRIFT) cannot honor it, and dropping it
-    // silently would strip the periodic safety net the caller asked
-    // for. COMPOSITE chains such a controller with a PERIODIC net.
-    if (info->knobs.count("period_s") == 0) {
-      return Status::InvalidArgument(
-          "controller " + info->name +
-          " has no period_s knob, so realloc_period_s would be ignored; "
-          "drop it, or chain the controller with a PERIODIC safety net "
-          "via COMPOSITE");
-    }
-    if (knobs.count("period_s") == 0) {
-      knobs["period_s"] = options.realloc_period_s;
-    }
-  }
-  return control::ControllerRegistry::Global().Build(options.controller, knobs);
+  return control::ControllerRegistry::Global().Build(options.controller,
+                                                     options.controller_knobs);
 }
 
 /// The chaos plane: the named or programmatic injector, nullptr for none.
@@ -1381,7 +1354,9 @@ StatusOr<Fleet> Fleet::Create(const cloud::Catalog& catalog,
     session_options.qos_scale = models[i].qos_scale;
     session_options.monitor_warmup = models[i].monitor_warmup;
     session_options.seed = options.seed;
-    fleet.sessions_.emplace_back(catalog, models[i].model, session_options);
+    auto session = Kairos::Create(catalog, models[i].model, session_options);
+    if (!session.ok()) return session.status();
+    fleet.sessions_.push_back(*std::move(session));
   }
   return fleet;
 }

@@ -176,23 +176,21 @@ struct FleetServeOptions {
   double base_rate_qps = 40.0;
   /// Cadence of per-model WindowedMetrics snapshots.
   double window_s = 5.0;
-  /// Cadence of the "PERIODIC" controller when no `controller` is named:
-  /// every period the fleet reads each model's observed arrival rate over
-  /// the elapsed period, re-splits the global budget with the configured
-  /// allocator (demand-weighted), re-plans every model inside its new
-  /// share, and reconfigures the live engines (instance launches obey
-  /// launch_lag_s). 0 = frozen allocation — the initial plan serves the
-  /// whole run. With a named `controller` this only seeds its "period_s"
-  /// knob (when declared and not overridden in controller_knobs).
-  double realloc_period_s = 0.0;
   /// Control-plane strategy (ControllerRegistry name: PERIODIC, QOS,
-  /// BACKLOG, DRIFT, COMPOSITE). "" keeps the legacy wiring — "PERIODIC"
-  /// when realloc_period_s > 0, no control loop otherwise. The controller
-  /// is consulted at every barrier of the merged window/decision grid
-  /// with a FleetTelemetry snapshot and its ControlActions are applied to
-  /// the live engines (see control/controller.h).
+  /// BACKLOG, DRIFT, SHED, FAILOVER, COMPOSITE). "" = frozen allocation:
+  /// no control loop, the initial plan serves the whole run. The
+  /// controller is consulted at every barrier of the merged
+  /// window/decision grid with a FleetTelemetry snapshot and its
+  /// ControlActions are applied to the live engines (see
+  /// control/controller.h). Periodic reallocation is "PERIODIC" with a
+  /// "period_s" knob: every period the fleet reads each model's observed
+  /// arrival rate over the elapsed period, re-splits the global budget
+  /// with the configured allocator (demand-weighted), re-plans every
+  /// model inside its new share, and reconfigures the live engines
+  /// (instance launches obey launch_lag_s).
   std::string controller;
-  /// Knob overrides for the named controller (e.g. QOS's "p99_scale").
+  /// Knob overrides for the named controller (e.g. QOS's "p99_scale",
+  /// PERIODIC's "period_s").
   control::KnobMap controller_knobs;
   /// Chaos injector (ChaosRegistry name: SPOT_PREEMPTION, INSTANCE_DEATH,
   /// NET_DEGRADE, COMPOSITE). "" = no chaos — the run is bit-identical to
@@ -434,9 +432,7 @@ class Fleet {
   /// re-plans every model inside its new share and reconfigures the live
   /// engines (launch lag modeled); kResetMonitor drops a model's stale
   /// planning-time mix and re-plans it against the live stream's sliding
-  /// window from then on. The legacy wiring (controller == "",
-  /// realloc_period_s > 0) routes through "PERIODIC" and reproduces the
-  /// fixed-timer loop bit for bit (tests/fleet_serve_test.cc).
+  /// window from then on.
   ///
   /// Chaos: a named `chaos` injector (or a programmatic `injector`) is
   /// armed on the run's schedule; its precomputed fault times become

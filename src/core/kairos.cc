@@ -1,28 +1,26 @@
 #include "core/kairos.h"
 
-#include <stdexcept>
-
 #include "policy/kairos_policy.h"
 
 namespace kairos::core {
 
-Kairos::Kairos(const cloud::Catalog& catalog, const std::string& model,
+Kairos::Kairos(const cloud::Catalog& catalog, const latency::ModelSpec& spec,
                KairosOptions options)
     : catalog_(catalog),
-      spec_(latency::FindModel(model)),
+      spec_(spec),
       truth_(spec_.Instantiate(catalog)),
       qos_ms_(spec_.qos_ms * options.qos_scale),
-      // Checked here, ahead of monitor_, whose window must be positive.
-      options_([&options] {
-        const Status valid = Validate(options);
-        if (!valid.ok()) {
-          throw std::invalid_argument("Kairos: " + valid.message());
-        }
-        return options;
-      }()),
+      options_(options),
       monitor_(options.monitor_warmup) {}
 
-Status Kairos::Validate(const KairosOptions& options) {
+StatusOr<Kairos> Kairos::Create(const cloud::Catalog& catalog,
+                                const std::string& model,
+                                KairosOptions options) {
+  const latency::ModelSpec* spec = latency::TryFindModel(model);
+  if (spec == nullptr) {
+    return Status::NotFound("unknown model \"" + model +
+                            "\"; Table-3 models: " + latency::ModelZooNames());
+  }
   if (options.qos_scale <= 0.0) {
     return Status::InvalidArgument("qos_scale must be positive");
   }
@@ -32,7 +30,7 @@ Status Kairos::Validate(const KairosOptions& options) {
   if (options.monitor_warmup == 0) {
     return Status::InvalidArgument("monitor_warmup must be positive");
   }
-  return Status::Ok();
+  return Kairos(catalog, *spec, options);
 }
 
 void Kairos::ObserveMix(const workload::BatchDistribution& mix) {
@@ -42,15 +40,13 @@ void Kairos::ObserveMix(const workload::BatchDistribution& mix) {
   }
 }
 
-Plan Kairos::PlanConfiguration() const {
-  PlannerContext ctx{&catalog_, &truth_, qos_ms_, options_.budget_per_hour};
-  return Planner(ctx).PlanConfiguration(monitor_);
+StatusOr<Plan> Kairos::PlanConfiguration() const {
+  return PlanOneShot(Context(), monitor_);
 }
 
-search::SearchResult Kairos::PlanWithEvaluations(
+StatusOr<search::SearchResult> Kairos::PlanWithEvaluations(
     const search::EvalFn& eval, const search::SearchOptions& options) const {
-  PlannerContext ctx{&catalog_, &truth_, qos_ms_, options_.budget_per_hour};
-  return Planner(ctx).PlanWithEvaluations(monitor_, eval, options);
+  return PlanKairosPlus(Context(), monitor_, eval, options);
 }
 
 StatusOr<std::unique_ptr<serving::Engine>> Kairos::Deploy(
@@ -72,17 +68,6 @@ serving::EvalResult Kairos::MeasureThroughput(
       catalog_, config, truth_, qos_ms_,
       [] { return std::make_unique<policy::KairosPolicy>(); }, mix,
       eval_options);
-}
-
-StatusOr<Kairos> Kairos::Create(const cloud::Catalog& catalog,
-                                const std::string& model,
-                                KairosOptions options) {
-  if (latency::TryFindModel(model) == nullptr) {
-    return Status::NotFound("unknown model \"" + model +
-                            "\"; Table-3 models: " + latency::ModelZooNames());
-  }
-  if (Status valid = Validate(options); !valid.ok()) return valid;
-  return Kairos(catalog, model, options);
 }
 
 workload::QueryMonitor MonitorFromMix(const workload::BatchDistribution& mix,

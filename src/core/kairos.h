@@ -4,10 +4,14 @@
 //   * Kairos        — plan a heterogeneous configuration under a budget,
 //                     measure its allowable throughput, and deploy it as a
 //                     serving::Engine running the Kairos query distributor;
-//   * Kairos::Create — the Status-returning construction path (unknown
-//                     model names come back as kNotFound, not exceptions);
+//   * Kairos::Create — the only way to build one (unknown model names come
+//                     back as kNotFound, bad options as kInvalidArgument);
 //   * MonitorFromMix — warm a QueryMonitor from a batch distribution, the
 //                     paper's query-monitoring warmup.
+//
+// Planning runs the same functions as the KAIROS and KAIROS+ registry
+// backends (core/planner.h), so the facade and the backends return the
+// same Status for the same input.
 //
 // Strategies are built by name through registries that share one
 // contract (common/registry.h): distribution schemes through
@@ -26,8 +30,10 @@
 // Serving is the serving::Engine (serving/engine.h): Kairos::Deploy
 // builds one, Fleet::ServeAll co-simulates one per model, and
 // MeasureThroughput runs one per rate trial (serving/throughput_eval.h).
-// QueryMonitor::Snapshot() returns StatusOr instead of throwing, like
-// the rest of the public API.
+// Construction, planning, deployment and QueryMonitor::Snapshot() return
+// a Status for bad caller input instead of throwing. MeasureThroughput
+// alone keeps EvaluateConfig's std::invalid_argument for a config with no
+// instance: its result feeds search::EvalFn, which returns a double.
 #pragma once
 
 #include <memory>
@@ -57,16 +63,10 @@ struct KairosOptions {
 /// End-to-end Kairos for one model on one catalog.
 class Kairos {
  public:
-  /// `catalog` must outlive the facade. `model` is a Table-3 name.
-  /// Throws std::out_of_range for an unknown model and
-  /// std::invalid_argument for the options Create() rejects; prefer
-  /// Create() in code that wants Status-based errors.
-  Kairos(const cloud::Catalog& catalog, const std::string& model,
-         KairosOptions options = {});
-
-  /// Status-returning construction: kNotFound (listing the Table-3 names)
-  /// for an unknown model, kInvalidArgument for bad options (qos_scale,
-  /// budget_per_hour or monitor_warmup not positive).
+  /// The only construction path. `catalog` must outlive the facade.
+  /// kNotFound (listing the Table-3 names) for an unknown `model`, checked
+  /// first; kInvalidArgument for bad options (qos_scale, budget_per_hour
+  /// or monitor_warmup not positive).
   static StatusOr<Kairos> Create(const cloud::Catalog& catalog,
                                  const std::string& model,
                                  KairosOptions options = {});
@@ -80,11 +80,16 @@ class Kairos {
   /// Drops stale workload statistics (e.g. after a regime change).
   void ResetMonitor() { monitor_.Reset(); }
 
-  /// One-shot Kairos planning (no online evaluation).
-  Plan PlanConfiguration() const;
+  /// One-shot Kairos planning (no online evaluation): PlanOneShot on
+  /// this session's context, so kInfeasible when the budget buys no base
+  /// instance.
+  StatusOr<Plan> PlanConfiguration() const;
 
   /// Kairos+ planning; `eval` measures real throughput of a config.
-  search::SearchResult PlanWithEvaluations(
+  /// PlanKairosPlus on this session's context: kFailedPrecondition
+  /// without `eval`, kInvalidArgument for zero max_evals, kInfeasible
+  /// when the budget buys no base instance.
+  StatusOr<search::SearchResult> PlanWithEvaluations(
       const search::EvalFn& eval,
       const search::SearchOptions& options = {}) const;
 
@@ -98,7 +103,9 @@ class Kairos {
       sim::Simulator* shared_clock = nullptr) const;
 
   /// Allowable throughput of a config under the Kairos distributor:
-  /// EvaluateConfig with a KairosPolicy per rate trial.
+  /// EvaluateConfig with a KairosPolicy per rate trial. Throws
+  /// std::invalid_argument, as EvaluateConfig does, for a config of the
+  /// wrong arity or with no instance.
   serving::EvalResult MeasureThroughput(
       const cloud::Config& config, const workload::BatchDistribution& mix,
       const serving::EvalOptions& eval_options) const;
@@ -111,10 +118,15 @@ class Kairos {
   const cloud::Catalog& catalog() const { return catalog_; }
 
  private:
-  /// The one list of option checks: kInvalidArgument when qos_scale,
-  /// budget_per_hour or monitor_warmup is not positive. Create() returns
-  /// it; the constructor throws it.
-  static Status Validate(const KairosOptions& options);
+  /// Stores the pieces; Create() has checked `options`.
+  Kairos(const cloud::Catalog& catalog, const latency::ModelSpec& spec,
+         KairosOptions options);
+
+  /// This session's planning problem.
+  PlannerContext Context() const {
+    return PlannerContext{&catalog_, &truth_, qos_ms_,
+                          options_.budget_per_hour};
+  }
 
   const cloud::Catalog& catalog_;
   const latency::ModelSpec& spec_;

@@ -1,13 +1,20 @@
-// The Kairos resource allocator (Sec. 5.2, Fig. 4 right half): enumerate
-// the budgeted configuration space, estimate every upper bound from the
-// monitored workload, rank, and apply the similarity rule — no online
-// evaluation. PlanWithEvaluations() is the Kairos+ variant that spends a
-// bounded number of real evaluations guided by the same bounds.
+// The Kairos resource allocator (Sec. 5.2, Fig. 4 right half) as two
+// functions over one problem statement, a PlannerContext plus the
+// monitored workload. PlanOneShot enumerates the budgeted configuration
+// space, estimates every upper bound, ranks, and applies the similarity
+// rule, with no online evaluation. PlanKairosPlus is the KAIROS+ variant
+// (Algorithm 1): it spends a bounded number of real evaluations guided by
+// the same bounds. Both return a Status for bad input instead of
+// throwing. The KAIROS and KAIROS+ registry backends
+// (core/planner_backend.h) and the Kairos facade (core/kairos.h) all plan
+// through them, so one input gets one answer on every path.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "cloud/config_space.h"
+#include "common/status.h"
 #include "search/kairos_plus.h"
 #include "search/search.h"
 #include "ub/selector.h"
@@ -31,38 +38,34 @@ struct Plan {
   std::vector<ub::RankedConfig> ranked;  ///< all candidates, UB-descending
 };
 
-/// Stateless planner bound to one PlannerContext.
-class Planner {
- public:
-  explicit Planner(PlannerContext ctx);
+/// The one context check every planner runs: kInvalidArgument unless
+/// `ctx` names a catalog and a truth model and has a positive QoS and
+/// budget.
+Status ValidateContext(const PlannerContext& ctx);
 
-  /// The budgeted configuration space (>= 1 base instance).
-  std::vector<cloud::Config> ConfigSpace() const;
+/// What evaluation-driven planning needs beyond a valid context:
+/// kFailedPrecondition without an `eval` fn, kInvalidArgument when
+/// `search.max_evals` is 0 (the search would have no measured
+/// configuration to return). `planner` names the strategy in the message.
+Status ValidateEvaluations(const std::string& planner,
+                           const search::EvalFn& eval,
+                           const search::SearchOptions& search);
 
-  /// One-shot Kairos planning from monitored workload statistics.
-  Plan PlanConfiguration(const workload::QueryMonitor& monitor) const;
+/// The budgeted configuration space (>= 1 base instance) of a valid
+/// context, or kInfeasible when not even one base instance fits.
+StatusOr<std::vector<cloud::Config>> BudgetedSpace(const PlannerContext& ctx);
 
-  /// Same, over a pre-enumerated candidate space (callers that already
-  /// hold ConfigSpace() avoid re-enumerating). `space` must be non-empty.
-  Plan PlanConfiguration(const workload::QueryMonitor& monitor,
-                         const std::vector<cloud::Config>& space) const;
+/// One-shot Kairos planning from monitored workload statistics.
+/// kInvalidArgument for a malformed context, kInfeasible when no
+/// configuration fits the budget.
+StatusOr<Plan> PlanOneShot(const PlannerContext& ctx,
+                           const workload::QueryMonitor& monitor);
 
-  /// Kairos+: upper-bound-guided online search using `eval` for real
-  /// throughput measurements (Algorithm 1).
-  search::SearchResult PlanWithEvaluations(
-      const workload::QueryMonitor& monitor, const search::EvalFn& eval,
-      const search::SearchOptions& options = {}) const;
-
-  /// Same, over a pre-enumerated candidate space.
-  search::SearchResult PlanWithEvaluations(
-      const workload::QueryMonitor& monitor, const search::EvalFn& eval,
-      const search::SearchOptions& options,
-      const std::vector<cloud::Config>& space) const;
-
-  const PlannerContext& context() const { return ctx_; }
-
- private:
-  PlannerContext ctx_;
-};
+/// KAIROS+: upper-bound-guided online search using `eval` for real
+/// throughput measurements (Algorithm 1). The context is checked first,
+/// then ValidateEvaluations, then the budget (kInfeasible).
+StatusOr<search::SearchResult> PlanKairosPlus(
+    const PlannerContext& ctx, const workload::QueryMonitor& monitor,
+    const search::EvalFn& eval, const search::SearchOptions& search = {});
 
 }  // namespace kairos::core

@@ -9,64 +9,32 @@
 namespace kairos::core {
 namespace {
 
-/// Shared validation: every backend needs a well-formed context and a
-/// warmed monitor.
-Status ValidateRequest(const PlannerContext& ctx, const PlanRequest& request) {
-  if (ctx.catalog == nullptr || ctx.truth == nullptr) {
-    return Status::InvalidArgument("planner context needs catalog and truth");
-  }
-  if (ctx.qos_ms <= 0.0) {
-    return Status::InvalidArgument("planner context needs a positive QoS");
-  }
-  if (ctx.budget_per_hour <= 0.0) {
-    return Status::InvalidArgument("planner context needs a positive budget");
-  }
+/// Every backend plans against the monitored workload.
+Status NeedMonitor(const PlanRequest& request) {
   if (request.monitor == nullptr) {
     return Status::InvalidArgument("plan request needs a query monitor");
   }
   return Status::Ok();
 }
 
-/// What the evaluation-driven backends need beyond ValidateRequest: an
-/// eval fn, and room for at least one evaluation. With none, the search
-/// has no measured configuration to return.
-Status ValidateEvaluations(const std::string& backend,
-                           const PlanRequest& request) {
-  if (request.eval == nullptr) {
-    return Status::FailedPrecondition("backend " + backend +
-                                      " needs PlanRequest::eval");
-  }
-  if (request.search.max_evals == 0) {
-    return Status::InvalidArgument("backend " + backend +
-                                   " needs SearchOptions::max_evals > 0");
-  }
-  return Status::Ok();
+/// Shared validation: every backend needs a well-formed context and a
+/// warmed monitor.
+Status ValidateRequest(const PlannerContext& ctx, const PlanRequest& request) {
+  if (Status s = ValidateContext(ctx); !s.ok()) return s;
+  return NeedMonitor(request);
 }
 
-/// The budgeted space (enumerated once, reused by the planner), or
-/// kInfeasible when not even one base instance fits.
-StatusOr<std::vector<cloud::Config>> BudgetedSpace(const PlannerContext& ctx) {
-  std::vector<cloud::Config> space = Planner(ctx).ConfigSpace();
-  if (space.empty()) {
-    return Status::Infeasible("no configuration with a base instance fits " +
-                              FormatDollarsPerHour(ctx.budget_per_hour));
-  }
-  return space;
-}
-
-/// The one-shot Sec. 5.2 pass shared by KairosBackend::Plan and the
-/// default PlannerBackend::Probe: rank upper bounds, apply the similarity
-/// rule, spend zero evaluations.
+/// PlanOneShot as an outcome, shared by KairosBackend::Plan and the
+/// default PlannerBackend::Probe.
 StatusOr<PlannerOutcome> OneShotPlan(const PlannerContext& ctx,
                                      const PlanRequest& request) {
-  if (Status s = ValidateRequest(ctx, request); !s.ok()) return s;
-  auto space = BudgetedSpace(ctx);
-  if (!space.ok()) return space.status();
+  if (Status s = NeedMonitor(request); !s.ok()) return s;
+  auto plan = PlanOneShot(ctx, *request.monitor);
+  if (!plan.ok()) return plan.status();
   PlannerOutcome outcome;
-  outcome.plan = Planner(ctx).PlanConfiguration(*request.monitor, *space);
-  outcome.config = outcome.plan->config;
-  outcome.expected_qps =
-      outcome.plan->ranked[outcome.plan->selection.chosen_rank].upper_bound;
+  outcome.config = plan->config;
+  outcome.expected_qps = plan->ranked[plan->selection.chosen_rank].upper_bound;
+  outcome.plan = *std::move(plan);
   return outcome;
 }
 
@@ -91,16 +59,14 @@ class KairosPlusBackend final : public PlannerBackend {
 
   StatusOr<PlannerOutcome> Plan(const PlannerContext& ctx,
                                 const PlanRequest& request) const override {
-    if (Status s = ValidateRequest(ctx, request); !s.ok()) return s;
-    if (Status s = ValidateEvaluations(Name(), request); !s.ok()) return s;
-    auto space = BudgetedSpace(ctx);
-    if (!space.ok()) return space.status();
-    const search::SearchResult result = Planner(ctx).PlanWithEvaluations(
-        *request.monitor, request.eval, request.search, *space);
+    if (Status s = NeedMonitor(request); !s.ok()) return s;
+    auto result = PlanKairosPlus(ctx, *request.monitor, request.eval,
+                                 request.search);
+    if (!result.ok()) return result.status();
     PlannerOutcome outcome;
-    outcome.config = result.best_config;
-    outcome.expected_qps = result.best_qps;
-    outcome.evaluations = result.evals;
+    outcome.config = result->best_config;
+    outcome.expected_qps = result->best_qps;
+    outcome.evaluations = result->evals;
     return outcome;
   }
 };
@@ -161,7 +127,10 @@ class BruteForceBackend final : public PlannerBackend {
   StatusOr<PlannerOutcome> Plan(const PlannerContext& ctx,
                                 const PlanRequest& request) const override {
     if (Status s = ValidateRequest(ctx, request); !s.ok()) return s;
-    if (Status s = ValidateEvaluations(Name(), request); !s.ok()) return s;
+    if (Status s = ValidateEvaluations(Name(), request.eval, request.search);
+        !s.ok()) {
+      return s;
+    }
     auto space = BudgetedSpace(ctx);
     if (!space.ok()) return space.status();
     PlannerOutcome outcome;

@@ -21,8 +21,7 @@ const char* EngineStateName(EngineState state) {
   return "UNKNOWN";
 }
 
-Engine::Engine(Unchecked, SystemSpec spec,
-               std::unique_ptr<policy::Policy> policy,
+Engine::Engine(SystemSpec spec, std::unique_ptr<policy::Policy> policy,
                PredictorOptions predictor_options, EngineOptions options,
                sim::Simulator* shared_clock)
     : spec_(std::move(spec)),
@@ -33,22 +32,12 @@ Engine::Engine(Unchecked, SystemSpec spec,
       target_config_(spec_.config),
       rng_(options.seed) {}
 
-Engine::Engine(SystemSpec spec, std::unique_ptr<policy::Policy> policy,
-               PredictorOptions predictor_options, EngineOptions options,
-               sim::Simulator* shared_clock)
-    : Engine(Unchecked{}, std::move(spec), std::move(policy),
-             predictor_options, options, shared_clock) {
-  const Status status = Init();
-  if (!status.ok()) throw std::invalid_argument(status.message());
-}
-
 StatusOr<std::unique_ptr<Engine>> Engine::Create(
     SystemSpec spec, std::unique_ptr<policy::Policy> policy,
     PredictorOptions predictor_options, EngineOptions options,
     sim::Simulator* shared_clock) {
-  // Not make_unique: the unchecked constructor is private.
-  std::unique_ptr<Engine> engine(new Engine(Unchecked{}, std::move(spec),
-                                            std::move(policy),
+  // Not make_unique: the constructor is private.
+  std::unique_ptr<Engine> engine(new Engine(std::move(spec), std::move(policy),
                                             predictor_options, options,
                                             shared_clock));
   if (Status status = engine->Init(); !status.ok()) return status;

@@ -20,8 +20,8 @@
 //   arrival  -> admission -> enqueue -> policy round -> dispatch/commit
 //   complete -> record latency, observe predictor -> policy round
 //
-// Several engines may shard one sim::Simulator (the shared-clock
-// constructor): Fleet::ServeAll co-simulates every model of a fleet on
+// Several engines may shard one sim::Simulator (Create's `shared_clock`
+// argument): Fleet::ServeAll co-simulates every model of a fleet on
 // one event loop this way. Batch serving is Submit() of a whole trace,
 // then Drain(), then Totals(): each rate trial of EvaluateConfig
 // (serving/throughput_eval.h) runs exactly that on a fresh engine.
@@ -147,17 +147,11 @@ struct EngineOptions {
 /// One online serving deployment, driven explicitly through simulated time.
 class Engine {
  public:
-  /// Owns the policy. Throws std::invalid_argument on a bad spec (null
-  /// catalog/truth, arity mismatch, empty config, null policy); prefer
-  /// Create() in code that wants Status-based errors. When `shared_clock`
-  /// is non-null the engine schedules onto it (fleet co-simulation) and
-  /// the caller drives that clock; the clock must outlive the engine.
-  Engine(SystemSpec spec, std::unique_ptr<policy::Policy> policy,
-         PredictorOptions predictor_options = {}, EngineOptions options = {},
-         sim::Simulator* shared_clock = nullptr);
-
-  /// Status-returning construction: the same checks as the constructor,
-  /// reported as kInvalidArgument instead of thrown.
+  /// The only construction path. The engine owns the policy.
+  /// kInvalidArgument on a bad spec (null catalog/truth, arity mismatch,
+  /// empty config, null policy). When `shared_clock` is non-null the
+  /// engine schedules onto it (fleet co-simulation) and the caller drives
+  /// that clock; the clock must outlive the engine.
   static StatusOr<std::unique_ptr<Engine>> Create(
       SystemSpec spec, std::unique_ptr<policy::Policy> policy,
       PredictorOptions predictor_options = {}, EngineOptions options = {},
@@ -380,10 +374,9 @@ class Engine {
     bool open = false;          ///< still pulling
   };
 
-  /// Stores the pieces unchecked; both public construction paths finish
-  /// with Init(), which holds the one validation list.
-  struct Unchecked {};
-  Engine(Unchecked, SystemSpec spec, std::unique_ptr<policy::Policy> policy,
+  /// Stores the pieces unchecked; Create() finishes with Init(), which
+  /// holds the one validation list.
+  Engine(SystemSpec spec, std::unique_ptr<policy::Policy> policy,
          PredictorOptions predictor_options, EngineOptions options,
          sim::Simulator* shared_clock);
 

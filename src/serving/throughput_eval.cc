@@ -42,7 +42,13 @@ EvalResult EvaluateConfig(const cloud::Catalog& catalog,
     base.RetimedInto(rate, &trial);
     // Batch semantics: every arrival is scheduled, in trace order, before
     // any event fires; then the engine drains.
-    Engine engine(spec, policy_factory(), predictor_options, engine_options);
+    auto created = Engine::Create(spec, policy_factory(), predictor_options,
+                                  engine_options);
+    if (!created.ok()) {
+      throw std::invalid_argument("EvaluateConfig: " +
+                                  created.status().message());
+    }
+    Engine& engine = **created;
     for (const workload::Query& q : trial.queries()) {
       const Status status = engine.Submit(q);
       if (!status.ok()) {

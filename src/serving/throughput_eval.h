@@ -41,10 +41,11 @@ struct EvalResult {
 /// The allowable-throughput evaluator, for (catalog, config, model,
 /// policy) tuples: every search algorithm, bench and
 /// Kairos::MeasureThroughput measures through it. Each rate trial builds
-/// an Engine over the config with a fresh `policy_factory()` policy,
-/// `predictor_options`, and default EngineOptions whose `run` is
-/// `run_options`. The config must hold at least one instance of the
-/// catalog's arity (std::invalid_argument otherwise).
+/// an Engine (Engine::Create) over the config with a fresh
+/// `policy_factory()` policy, `predictor_options`, and default
+/// EngineOptions whose `run` is `run_options`. The config must hold at
+/// least one instance of the catalog's arity: Create's refusal is thrown
+/// as std::invalid_argument, since the result feeds search::EvalFn.
 EvalResult EvaluateConfig(const cloud::Catalog& catalog,
                           const cloud::Config& config,
                           const latency::LatencyModel& truth, double qos_ms,

@@ -168,9 +168,18 @@ TEST_F(PlannerBackendTest, OneShotKairosMatchesPlannerFacade) {
   EXPECT_EQ(outcome->evaluations, 0u);
   EXPECT_GT(outcome->expected_qps, 0.0);
   ASSERT_TRUE(outcome->plan.has_value());
-  const core::Plan direct =
-      core::Planner(Context()).PlanConfiguration(monitor_);
-  EXPECT_EQ(outcome->config, direct.config);
+  // The facade plans through the same one-shot pass: a session warmed with
+  // the fixture's draws picks the same configuration at the same rank.
+  auto session = core::Kairos::Create(
+      catalog_, "RM2", core::KairosOptions{.monitor_warmup = 5000, .seed = 7});
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  session->ObserveMix(workload::LogNormalBatches::Production());
+  ASSERT_EQ(session->monitor().MeanBatch(), monitor_.MeanBatch());
+  const auto direct = session->PlanConfiguration();
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(outcome->config, direct->config);
+  EXPECT_EQ(outcome->plan->selection.chosen_rank,
+            direct->selection.chosen_rank);
 }
 
 TEST_F(PlannerBackendTest, EvaluationBackendsRequireEval) {
@@ -253,13 +262,14 @@ TEST(KairosCreateTest, UnknownModelIsNotFoundListingZoo) {
   EXPECT_NE(result.status().message().find("DIEN"), std::string::npos);
 }
 
-TEST(KairosCreateTest, ValidModelPlansLikeThrowingConstructor) {
+TEST(KairosCreateTest, ValidModelPlansAndBadOptionsAreRefused) {
   const Catalog catalog = Catalog::PaperPool();
   auto created = core::Kairos::Create(catalog, "WND");
   ASSERT_TRUE(created.ok());
   created->ObserveMix(workload::LogNormalBatches::Production());
-  const core::Plan plan = created->PlanConfiguration();
-  EXPECT_LE(plan.config.CostPerHour(catalog), 2.5 + 1e-9);
+  const auto plan = created->PlanConfiguration();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_LE(plan->config.CostPerHour(catalog), 2.5 + 1e-9);
 
   const auto bad_options = core::Kairos::Create(
       catalog, "WND", core::KairosOptions{.qos_scale = -1.0});

@@ -13,6 +13,7 @@
 #include "common/strings.h"
 #include "control/controllers.h"
 #include "core/fleet.h"
+#include "or_throw.h"
 #include "policy/kairos_policy.h"
 #include "telemetry/telemetry.h"
 
@@ -131,12 +132,12 @@ TEST(SparseWindowTest, EmptyWindowReportsZeroPercentiles) {
   cloud::Catalog catalog;
   catalog.Add({"base", "B", cloud::InstanceClass::kGpuAccelerated, 1.0, true});
   const latency::LatencyModel model({{10.0, 0.1}});
-  serving::Engine engine(SparseSpec(catalog, model),
-                         std::make_unique<policy::KairosPolicy>());
+  auto engine = OrThrow(serving::Engine::Create(
+      SparseSpec(catalog, model), std::make_unique<policy::KairosPolicy>()));
 
   // A window that saw no arrivals and no completions at all.
-  engine.AdvanceTo(5.0);
-  const serving::WindowedMetrics empty = engine.TakeWindow();
+  engine->AdvanceTo(5.0);
+  const serving::WindowedMetrics empty = engine->TakeWindow();
   EXPECT_EQ(empty.offered, 0u);
   EXPECT_EQ(empty.served, 0u);
   EXPECT_EQ(empty.violations, 0u);
@@ -145,20 +146,20 @@ TEST(SparseWindowTest, EmptyWindowReportsZeroPercentiles) {
   EXPECT_EQ(empty.mean_batch, 0.0);
   EXPECT_EQ(empty.qps, 0.0);
   EXPECT_EQ(empty.offered_qps, 0.0);
-  EXPECT_EQ(engine.Backlog(), 0u);
+  EXPECT_EQ(engine->Backlog(), 0u);
 }
 
 TEST(SparseWindowTest, SingleCompletionWindowPinsPercentilesToIt) {
   cloud::Catalog catalog;
   catalog.Add({"base", "B", cloud::InstanceClass::kGpuAccelerated, 1.0, true});
   const latency::LatencyModel model({{10.0, 0.1}});
-  serving::Engine engine(SparseSpec(catalog, model),
-                         std::make_unique<policy::KairosPolicy>());
+  auto engine = OrThrow(serving::Engine::Create(
+      SparseSpec(catalog, model), std::make_unique<policy::KairosPolicy>()));
 
-  ASSERT_TRUE(engine.Submit(workload::Query{1, 40, 5.5}).ok());
-  EXPECT_EQ(engine.Backlog(), 1u);
-  engine.AdvanceTo(10.0);
-  const serving::WindowedMetrics one = engine.TakeWindow();
+  ASSERT_TRUE(engine->Submit(workload::Query{1, 40, 5.5}).ok());
+  EXPECT_EQ(engine->Backlog(), 1u);
+  engine->AdvanceTo(10.0);
+  const serving::WindowedMetrics one = engine->TakeWindow();
   EXPECT_EQ(one.offered, 1u);
   EXPECT_EQ(one.served, 1u);
   // One completion: every percentile *is* that completion's latency
@@ -168,8 +169,8 @@ TEST(SparseWindowTest, SingleCompletionWindowPinsPercentilesToIt) {
   EXPECT_DOUBLE_EQ(one.p99_ms, one.mean_ms);
   EXPECT_DOUBLE_EQ(one.mean_batch, 40.0);
   EXPECT_EQ(one.violations, 0u);
-  EXPECT_EQ(engine.Backlog(), 0u);
-  EXPECT_EQ(engine.Served(), 1u);
+  EXPECT_EQ(engine->Backlog(), 0u);
+  EXPECT_EQ(engine->Served(), 1u);
 }
 
 // --- Closed-loop fleet behavior. ---
@@ -201,7 +202,7 @@ core::FleetServeOptions SpikeServe(const std::string& controller) {
   serve.launch_lag_s = 1.0;
   serve.shifts = {core::FleetLoadShift{18.0, "RM2", 6.0}};
   serve.controller = controller;
-  if (controller == "PERIODIC") serve.realloc_period_s = 40.0;
+  if (controller == "PERIODIC") serve.controller_knobs = {{"period_s", 40.0}};
   return serve;
 }
 
@@ -454,7 +455,7 @@ TEST(FleetControlTest, PeriodicSafetyNetYieldsToClosedLoopSiblings) {
   // 40s grid point the fleet is fresh and the net must skip rather than
   // double-fire a redundant re-split.
   core::FleetServeOptions serve = SpikeServe("COMPOSITE");
-  serve.realloc_period_s = 40.0;  // inherited by the PERIODIC child
+  serve.controller_knobs = {{"period_s", 40.0}};  // the PERIODIC child's
   const auto chained = fleet.ServeAll(*plan, serve);
   ASSERT_TRUE(chained.ok()) << chained.status().ToString();
   ASSERT_GE(chained->reallocations, 1u);
@@ -492,22 +493,13 @@ TEST(FleetControlTest, UnknownControllerAndBadKnobsSurfaceAsStatus) {
   EXPECT_EQ(fleet.ServeAll(*plan, bad_knob).status().code(),
             StatusCode::kInvalidArgument);
 
-  // Knobs without a named controller would be silently dropped by the
-  // legacy wiring; they are rejected instead.
+  // Knobs without a named controller would be silently dropped by a
+  // frozen allocation; they are rejected instead. A period alone does not
+  // name PERIODIC.
   core::FleetServeOptions orphan_knobs = SpikeServe("");
-  orphan_knobs.realloc_period_s = 10.0;
-  orphan_knobs.controller_knobs = {{"p99_scale", 1.1}};
+  orphan_knobs.controller_knobs = {{"period_s", 10.0}};
   EXPECT_EQ(fleet.ServeAll(*plan, orphan_knobs).status().code(),
             StatusCode::kInvalidArgument);
-
-  // A period aimed at a controller that cannot honor it is equally loud
-  // (QOS declares no period_s knob; COMPOSITE is the supported spelling).
-  core::FleetServeOptions orphan_period = SpikeServe("QOS");
-  orphan_period.realloc_period_s = 40.0;
-  const auto rejected = fleet.ServeAll(*plan, orphan_period);
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(rejected.status().message().find("COMPOSITE"),
-            std::string::npos);
 }
 
 // --- Malformed actions: the applier's one check. ---

@@ -10,9 +10,11 @@
 #include <cstdio>
 #include <memory>
 
+#include "or_throw.h"
 #include "policy/kairos_policy.h"
 #include "policy/ribbon_policy.h"
 #include "serving/engine.h"
+#include "serving/throughput_eval.h"
 #include "workload/arrival.h"
 #include "workload/batch_dist.h"
 #include "workload/query_source.h"
@@ -65,43 +67,46 @@ Trace MediumTrace(double rate_qps = 30.0, std::size_t count = 200,
 TEST(EngineTest, StateMachineServingDrainingDrained) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  Engine engine(TinySpec(catalog, truth, {1, 0}),
-                std::make_unique<policy::KairosPolicy>());
-  EXPECT_EQ(engine.state(), EngineState::kServing);
-  ASSERT_TRUE(engine.Submit(Query{0, 10, 0.5}).ok());
-  engine.Drain();
-  EXPECT_EQ(engine.state(), EngineState::kDrained);
+  auto engine = OrThrow(Engine::Create(
+      TinySpec(catalog, truth, {1, 0}),
+      std::make_unique<policy::KairosPolicy>()));
+  EXPECT_EQ(engine->state(), EngineState::kServing);
+  ASSERT_TRUE(engine->Submit(Query{0, 10, 0.5}).ok());
+  engine->Drain();
+  EXPECT_EQ(engine->state(), EngineState::kDrained);
 
-  const Status late = engine.Submit(Query{1, 10, 1.0});
+  const Status late = engine->Submit(Query{1, 10, 1.0});
   EXPECT_EQ(late.code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(late.message().find("DRAINED"), std::string::npos);
-  EXPECT_EQ(engine.SetArrivalScale(2.0).code(),
+  EXPECT_EQ(engine->SetArrivalScale(2.0).code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(engine.Reconfigure(Config({2, 0})).code(),
+  EXPECT_EQ(engine->Reconfigure(Config({2, 0})).code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST(EngineTest, SubmitInThePastIsInvalid) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  Engine engine(TinySpec(catalog, truth, {1, 0}),
-                std::make_unique<policy::KairosPolicy>());
-  engine.AdvanceTo(5.0);
-  EXPECT_EQ(engine.Submit(Query{0, 10, 1.0}).code(),
+  auto engine = OrThrow(Engine::Create(
+      TinySpec(catalog, truth, {1, 0}),
+      std::make_unique<policy::KairosPolicy>()));
+  engine->AdvanceTo(5.0);
+  EXPECT_EQ(engine->Submit(Query{0, 10, 1.0}).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_TRUE(engine.Submit(Query{0, 10, 5.0}).ok());
+  EXPECT_TRUE(engine->Submit(Query{0, 10, 5.0}).ok());
 }
 
 TEST(EngineTest, AdvanceToLandsTheClockExactly) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  Engine engine(TinySpec(catalog, truth, {1, 0}),
-                std::make_unique<policy::KairosPolicy>());
-  EXPECT_EQ(engine.AdvanceTo(3.5), 0u);
-  EXPECT_DOUBLE_EQ(engine.Now(), 3.5);
+  auto engine = OrThrow(Engine::Create(
+      TinySpec(catalog, truth, {1, 0}),
+      std::make_unique<policy::KairosPolicy>()));
+  EXPECT_EQ(engine->AdvanceTo(3.5), 0u);
+  EXPECT_DOUBLE_EQ(engine->Now(), 3.5);
   // Moving backwards is a no-op, not a rewind.
-  engine.AdvanceTo(1.0);
-  EXPECT_DOUBLE_EQ(engine.Now(), 3.5);
+  engine->AdvanceTo(1.0);
+  EXPECT_DOUBLE_EQ(engine->Now(), 3.5);
 }
 
 TEST(EngineTest, CreateRejectsBadSpecsWithStatus) {
@@ -121,9 +126,12 @@ TEST(EngineTest, CreateRejectsBadSpecsWithStatus) {
   EXPECT_EQ(
       Engine::Create(TinySpec(catalog, truth, {1, 0}), nullptr).status().code(),
       StatusCode::kInvalidArgument);
-  // The throwing constructor enforces the same validation list.
-  EXPECT_THROW(Engine(TinySpec(catalog, truth, {0, 0}),
-                      std::make_unique<policy::KairosPolicy>()),
+  // EvaluateConfig builds each rate trial's engine with Create and reports
+  // the same refusal as its documented std::invalid_argument.
+  EXPECT_THROW(EvaluateConfig(
+                   catalog, Config({0, 0}), truth, 200.0,
+                   [] { return std::make_unique<policy::KairosPolicy>(); },
+                   workload::LogNormalBatches::Production(), EvalOptions{}),
                std::invalid_argument);
 }
 
@@ -132,10 +140,11 @@ TEST(EngineTest, CreateRejectsBadSpecsWithStatus) {
 TEST(EngineTest, EmptyRunReportsZeroThroughputAndFailsQos) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  Engine engine(TinySpec(catalog, truth, {1, 0}),
-                std::make_unique<policy::KairosPolicy>());
-  engine.Drain();
-  const RunResult r = engine.Totals();
+  auto engine = OrThrow(Engine::Create(
+      TinySpec(catalog, truth, {1, 0}),
+      std::make_unique<policy::KairosPolicy>()));
+  engine->Drain();
+  const RunResult r = engine->Totals();
   EXPECT_EQ(r.offered, 0u);
   EXPECT_EQ(r.served, 0u);
   EXPECT_EQ(r.throughput_qps, 0.0);  // 0/0 must not surface as NaN
@@ -171,9 +180,9 @@ TEST(EngineTest, WindowedMetricsBitIdenticalAcrossStepSizes) {
     EngineOptions options;
     options.seed = 7;
     options.run.abort_violation_fraction = 0.0;
-    return std::make_unique<Engine>(TinySpec(catalog, truth, {1, 1}),
-                                    std::make_unique<policy::KairosPolicy>(),
-                                    PredictorOptions{}, options);
+    return OrThrow(Engine::Create(TinySpec(catalog, truth, {1, 1}),
+                                  std::make_unique<policy::KairosPolicy>(),
+                                  PredictorOptions{}, options));
   };
   auto make_source = [] {
     QuerySourceSpec spec;
@@ -208,17 +217,18 @@ TEST(EngineTest, WindowedMetricsBitIdenticalAcrossStepSizes) {
 TEST(EngineTest, TakeWindowResetsTheAccumulator) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  Engine engine(TinySpec(catalog, truth, {1, 0}),
-                std::make_unique<policy::KairosPolicy>());
-  ASSERT_TRUE(engine.Submit(Query{0, 10, 0.5}).ok());
-  engine.AdvanceTo(1.0);
-  const WindowedMetrics first = engine.TakeWindow();
+  auto engine = OrThrow(Engine::Create(
+      TinySpec(catalog, truth, {1, 0}),
+      std::make_unique<policy::KairosPolicy>()));
+  ASSERT_TRUE(engine->Submit(Query{0, 10, 0.5}).ok());
+  engine->AdvanceTo(1.0);
+  const WindowedMetrics first = engine->TakeWindow();
   EXPECT_EQ(first.offered, 1u);
   EXPECT_EQ(first.served, 1u);
   EXPECT_DOUBLE_EQ(first.start, 0.0);
   EXPECT_DOUBLE_EQ(first.end, 1.0);
-  engine.AdvanceTo(2.0);
-  const WindowedMetrics second = engine.TakeWindow();
+  engine->AdvanceTo(2.0);
+  const WindowedMetrics second = engine->TakeWindow();
   EXPECT_DOUBLE_EQ(second.start, 1.0);
   EXPECT_EQ(second.offered, 0u);
   EXPECT_EQ(second.served, 0u);
@@ -232,52 +242,54 @@ TEST(EngineTest, SetArrivalScaleRescalesSourceGaps) {
   const LatencyModel truth = TinyModel();
   EngineOptions options;
   options.run.abort_violation_fraction = 0.0;
-  Engine engine(TinySpec(catalog, truth, {2, 0}),
-                std::make_unique<policy::KairosPolicy>(), PredictorOptions{},
-                options);
+  auto engine = OrThrow(Engine::Create(TinySpec(catalog, truth, {2, 0}),
+                                       std::make_unique<policy::KairosPolicy>(),
+                                       PredictorOptions{}, options));
   QuerySourceSpec spec;
   spec.source = "UNIFORM";
   spec.rate_qps = 10.0;
   auto source = QuerySourceRegistry::Global().Build(spec);
   ASSERT_TRUE(source.ok());
-  ASSERT_TRUE(engine.SubmitSource(**source).ok());
+  ASSERT_TRUE(engine->SubmitSource(**source).ok());
 
-  engine.AdvanceTo(10.0);
-  const WindowedMetrics before = engine.TakeWindow();
-  ASSERT_TRUE(engine.SetArrivalScale(2.0).ok());
-  engine.AdvanceTo(20.0);
-  const WindowedMetrics after = engine.TakeWindow();
+  engine->AdvanceTo(10.0);
+  const WindowedMetrics before = engine->TakeWindow();
+  ASSERT_TRUE(engine->SetArrivalScale(2.0).ok());
+  engine->AdvanceTo(20.0);
+  const WindowedMetrics after = engine->TakeWindow();
   // Fixed 0.1s gaps: ~100 arrivals in the first window, ~200 once the
   // gaps are halved (edge emissions make it inexact by one).
   EXPECT_NEAR(static_cast<double>(before.offered), 100.0, 2.0);
   EXPECT_NEAR(static_cast<double>(after.offered), 200.0, 2.0);
 
-  EXPECT_EQ(engine.SetArrivalScale(0.0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->SetArrivalScale(0.0).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(EngineTest, SwapPolicyMidRunTakesEffect) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  Engine engine(TinySpec(catalog, truth, {1, 1}),
-                std::make_unique<policy::KairosPolicy>());
-  EXPECT_EQ(engine.GetPolicy().Name(), "KAIROS");
-  ASSERT_TRUE(engine.Submit(Query{0, 50, 0.5}).ok());
-  engine.AdvanceTo(0.25);
-  ASSERT_TRUE(engine.SwapPolicy("ribbon").ok());  // case-insensitive
-  EXPECT_EQ(engine.GetPolicy().Name(), "RIBBON");
-  engine.Drain();
-  EXPECT_EQ(engine.Totals().served, 1u);
+  auto engine = OrThrow(Engine::Create(
+      TinySpec(catalog, truth, {1, 1}),
+      std::make_unique<policy::KairosPolicy>()));
+  EXPECT_EQ(engine->GetPolicy().Name(), "KAIROS");
+  ASSERT_TRUE(engine->Submit(Query{0, 50, 0.5}).ok());
+  engine->AdvanceTo(0.25);
+  ASSERT_TRUE(engine->SwapPolicy("ribbon").ok());  // case-insensitive
+  EXPECT_EQ(engine->GetPolicy().Name(), "RIBBON");
+  engine->Drain();
+  EXPECT_EQ(engine->Totals().served, 1u);
 
-  const Status unknown = engine.SwapPolicy("FCFS++");
+  const Status unknown = engine->SwapPolicy("FCFS++");
   EXPECT_EQ(unknown.code(), StatusCode::kFailedPrecondition);  // drained
 }
 
 TEST(EngineTest, SwapPolicyUnknownNameListsAlternatives) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  Engine engine(TinySpec(catalog, truth, {1, 0}),
-                std::make_unique<policy::KairosPolicy>());
-  const Status unknown = engine.SwapPolicy("FCFS++");
+  auto engine = OrThrow(Engine::Create(
+      TinySpec(catalog, truth, {1, 0}),
+      std::make_unique<policy::KairosPolicy>()));
+  const Status unknown = engine->SwapPolicy("FCFS++");
   EXPECT_EQ(unknown.code(), StatusCode::kNotFound);
   EXPECT_NE(unknown.message().find("KAIROS"), std::string::npos);
 }
@@ -288,26 +300,26 @@ TEST(EngineTest, ReconfigureLaunchesAfterLagAndDrainsRemoved) {
   EngineOptions options;
   options.launch_lag_s = 0.5;
   options.run.abort_violation_fraction = 0.0;
-  Engine engine(TinySpec(catalog, truth, {1, 0}),
-                std::make_unique<policy::KairosPolicy>(), PredictorOptions{},
-                options);
-  EXPECT_EQ(engine.ActiveInstances(), 1u);
+  auto engine = OrThrow(Engine::Create(TinySpec(catalog, truth, {1, 0}),
+                                       std::make_unique<policy::KairosPolicy>(),
+                                       PredictorOptions{}, options));
+  EXPECT_EQ(engine->ActiveInstances(), 1u);
 
   // Scale out: the two new instances come online launch_lag_s later.
-  ASSERT_TRUE(engine.Reconfigure(Config({3, 0})).ok());
-  engine.AdvanceTo(0.4);
-  EXPECT_EQ(engine.ActiveInstances(), 1u);
-  engine.AdvanceTo(0.6);
-  EXPECT_EQ(engine.ActiveInstances(), 3u);
-  EXPECT_EQ(engine.target_config().Count(0), 3);
+  ASSERT_TRUE(engine->Reconfigure(Config({3, 0})).ok());
+  engine->AdvanceTo(0.4);
+  EXPECT_EQ(engine->ActiveInstances(), 1u);
+  engine->AdvanceTo(0.6);
+  EXPECT_EQ(engine->ActiveInstances(), 3u);
+  EXPECT_EQ(engine->target_config().Count(0), 3);
 
   // Scale in: idle instances retire on the spot (nothing to drain).
-  ASSERT_TRUE(engine.Reconfigure(Config({1, 0})).ok());
-  EXPECT_EQ(engine.ActiveInstances(), 1u);
+  ASSERT_TRUE(engine->Reconfigure(Config({1, 0})).ok());
+  EXPECT_EQ(engine->ActiveInstances(), 1u);
 
-  EXPECT_EQ(engine.Reconfigure(Config({1})).code(),
+  EXPECT_EQ(engine->Reconfigure(Config({1})).code(),
             StatusCode::kInvalidArgument);  // arity mismatch
-  EXPECT_EQ(engine.Reconfigure(Config({0, 0})).code(),
+  EXPECT_EQ(engine->Reconfigure(Config({0, 0})).code(),
             StatusCode::kInvalidArgument);  // no instances
 }
 
@@ -316,26 +328,26 @@ TEST(EngineTest, ReissuedReconfigureKeepsPendingLaunchesOnSchedule) {
   const LatencyModel truth = TinyModel();
   EngineOptions options;
   options.launch_lag_s = 1.0;
-  Engine engine(TinySpec(catalog, truth, {1, 0}),
-                std::make_unique<policy::KairosPolicy>(), PredictorOptions{},
-                options);
+  auto engine = OrThrow(Engine::Create(TinySpec(catalog, truth, {1, 0}),
+                                       std::make_unique<policy::KairosPolicy>(),
+                                       PredictorOptions{}, options));
   // Re-issuing the same grown target faster than the launch lag must not
   // reset the pending launches' clocks (a periodic reallocator would
   // otherwise never gain capacity).
-  ASSERT_TRUE(engine.Reconfigure(Config({3, 0})).ok());
-  engine.AdvanceTo(0.4);
-  ASSERT_TRUE(engine.Reconfigure(Config({3, 0})).ok());
-  engine.AdvanceTo(0.8);
-  ASSERT_TRUE(engine.Reconfigure(Config({3, 0})).ok());
-  engine.AdvanceTo(1.1);
-  EXPECT_EQ(engine.ActiveInstances(), 3u);
+  ASSERT_TRUE(engine->Reconfigure(Config({3, 0})).ok());
+  engine->AdvanceTo(0.4);
+  ASSERT_TRUE(engine->Reconfigure(Config({3, 0})).ok());
+  engine->AdvanceTo(0.8);
+  ASSERT_TRUE(engine->Reconfigure(Config({3, 0})).ok());
+  engine->AdvanceTo(1.1);
+  EXPECT_EQ(engine->ActiveInstances(), 3u);
 
   // Shrinking back below the live count cancels nothing but retires; a
   // shrink while launches are pending cancels those first.
-  ASSERT_TRUE(engine.Reconfigure(Config({5, 0})).ok());
-  ASSERT_TRUE(engine.Reconfigure(Config({3, 0})).ok());  // cancels the 2
-  engine.AdvanceTo(3.0);
-  EXPECT_EQ(engine.ActiveInstances(), 3u);
+  ASSERT_TRUE(engine->Reconfigure(Config({5, 0})).ok());
+  ASSERT_TRUE(engine->Reconfigure(Config({3, 0})).ok());  // cancels the 2
+  engine->AdvanceTo(3.0);
+  EXPECT_EQ(engine->ActiveInstances(), 3u);
 }
 
 TEST(EngineTest, OfferedCountsArrivalsNotScheduledAheadEmissions) {
@@ -343,19 +355,19 @@ TEST(EngineTest, OfferedCountsArrivalsNotScheduledAheadEmissions) {
   const LatencyModel truth = TinyModel();
   EngineOptions options;
   options.run.abort_violation_fraction = 0.0;
-  Engine engine(TinySpec(catalog, truth, {2, 0}),
-                std::make_unique<policy::KairosPolicy>(), PredictorOptions{},
-                options);
+  auto engine = OrThrow(Engine::Create(TinySpec(catalog, truth, {2, 0}),
+                                       std::make_unique<policy::KairosPolicy>(),
+                                       PredictorOptions{}, options));
   QuerySourceSpec spec;
   spec.source = "UNIFORM";
   spec.rate_qps = 10.0;
   auto source = QuerySourceRegistry::Global().Build(spec);
   ASSERT_TRUE(source.ok());
-  ASSERT_TRUE(engine.SubmitSource(**source).ok());
-  engine.AdvanceTo(10.0);
+  ASSERT_TRUE(engine->SubmitSource(**source).ok());
+  engine->AdvanceTo(10.0);
   // Fixed 0.1s gaps: arrivals at 0.1 .. 10.0 exactly; the emission
   // already scheduled for 10.1 must not be in the ledger yet.
-  EXPECT_EQ(engine.Totals().offered, 100u);
+  EXPECT_EQ(engine->Totals().offered, 100u);
 }
 
 TEST(EngineTest, DrainOnSharedClockStopsDespitePeerUnboundedSource) {
@@ -364,24 +376,24 @@ TEST(EngineTest, DrainOnSharedClockStopsDespitePeerUnboundedSource) {
   sim::Simulator clock;
   EngineOptions options;
   options.run.abort_violation_fraction = 0.0;
-  Engine a(TinySpec(catalog, truth, {1, 0}),
-           std::make_unique<policy::KairosPolicy>(), PredictorOptions{},
-           options, &clock);
-  Engine b(TinySpec(catalog, truth, {1, 0}),
-           std::make_unique<policy::KairosPolicy>(), PredictorOptions{},
-           options, &clock);
+  auto a = OrThrow(Engine::Create(TinySpec(catalog, truth, {1, 0}),
+                                  std::make_unique<policy::KairosPolicy>(),
+                                  PredictorOptions{}, options, &clock));
+  auto b = OrThrow(Engine::Create(TinySpec(catalog, truth, {1, 0}),
+                                  std::make_unique<policy::KairosPolicy>(),
+                                  PredictorOptions{}, options, &clock));
   QuerySourceSpec spec;
   spec.source = "UNIFORM";
   spec.rate_qps = 20.0;
   auto peer_source = QuerySourceRegistry::Global().Build(spec);
   ASSERT_TRUE(peer_source.ok());
-  ASSERT_TRUE(b.SubmitSource(**peer_source).ok());  // unbounded peer
+  ASSERT_TRUE(b->SubmitSource(**peer_source).ok());  // unbounded peer
 
-  ASSERT_TRUE(a.Submit(Query{0, 10, 0.05}).ok());
-  ASSERT_TRUE(a.Submit(Query{1, 10, 0.15}).ok());
-  a.Drain();  // must terminate once a's two queries completed
-  EXPECT_EQ(a.state(), EngineState::kDrained);
-  const RunResult totals = a.Totals();
+  ASSERT_TRUE(a->Submit(Query{0, 10, 0.05}).ok());
+  ASSERT_TRUE(a->Submit(Query{1, 10, 0.15}).ok());
+  a->Drain();  // must terminate once a's two queries completed
+  EXPECT_EQ(a->state(), EngineState::kDrained);
+  const RunResult totals = a->Totals();
   EXPECT_EQ(totals.offered, 2u);
   EXPECT_EQ(totals.served, 2u);
 }
@@ -392,9 +404,9 @@ TEST(EngineTest, ReconfigureExpandsServiceCapacityMidRun) {
   EngineOptions options;
   options.launch_lag_s = 0.2;
   options.run.abort_violation_fraction = 0.0;
-  Engine engine(TinySpec(catalog, truth, {1, 0}),
-                std::make_unique<policy::KairosPolicy>(), PredictorOptions{},
-                options);
+  auto engine = OrThrow(Engine::Create(TinySpec(catalog, truth, {1, 0}),
+                                       std::make_unique<policy::KairosPolicy>(),
+                                       PredictorOptions{}, options));
   // Batch-100 queries cost 20ms on base: 100 QPS offered saturates 1
   // instance (capacity 50/s) but not 3.
   QuerySourceSpec spec;
@@ -403,13 +415,13 @@ TEST(EngineTest, ReconfigureExpandsServiceCapacityMidRun) {
   spec.batch = 100;
   auto source = QuerySourceRegistry::Global().Build(spec);
   ASSERT_TRUE(source.ok());
-  ASSERT_TRUE(engine.SubmitSource(**source).ok());
+  ASSERT_TRUE(engine->SubmitSource(**source).ok());
 
-  engine.AdvanceTo(2.0);
-  const WindowedMetrics congested = engine.TakeWindow();
-  ASSERT_TRUE(engine.Reconfigure(Config({3, 0})).ok());
-  engine.AdvanceTo(4.0);
-  const WindowedMetrics relieved = engine.TakeWindow();
+  engine->AdvanceTo(2.0);
+  const WindowedMetrics congested = engine->TakeWindow();
+  ASSERT_TRUE(engine->Reconfigure(Config({3, 0})).ok());
+  engine->AdvanceTo(4.0);
+  const WindowedMetrics relieved = engine->TakeWindow();
   EXPECT_LT(congested.qps, 55.0);  // single-instance ceiling
   EXPECT_GT(relieved.qps, 95.0);   // backlog drains at 3-instance capacity
 }
@@ -422,21 +434,21 @@ TEST(EngineAdmissionTest, BoundedQueueRejectsBurstsAndConserves) {
   EngineOptions options;
   options.run.abort_violation_fraction = 0.0;
   options.admission.max_queue = 4;
-  Engine engine(TinySpec(catalog, truth, {1, 0}),
-                std::make_unique<policy::KairosPolicy>(), PredictorOptions{},
-                options);
+  auto engine = OrThrow(Engine::Create(TinySpec(catalog, truth, {1, 0}),
+                                       std::make_unique<policy::KairosPolicy>(),
+                                       PredictorOptions{}, options));
   // A simultaneous burst of 10: at most max_queue of them can be waiting
   // when each later arrival is admitted, so some must bounce.
   for (std::uint64_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(engine.Submit(Query{i, 1, 0.001}).ok());
+    ASSERT_TRUE(engine->Submit(Query{i, 1, 0.001}).ok());
   }
-  engine.Drain();
-  const RunResult& totals = engine.Totals();
+  engine->Drain();
+  const RunResult& totals = engine->Totals();
   EXPECT_EQ(totals.offered, 10u);  // rejected arrivals still arrived
-  EXPECT_GT(engine.Rejected(), 0u);
-  EXPECT_EQ(engine.Shed(), 0u);  // no deadline in play
+  EXPECT_GT(engine->Rejected(), 0u);
+  EXPECT_EQ(engine->Shed(), 0u);  // no deadline in play
   EXPECT_EQ(totals.served + totals.rejected, 10u);
-  EXPECT_EQ(engine.Backlog(), 0u);
+  EXPECT_EQ(engine->Backlog(), 0u);
 }
 
 TEST(EngineAdmissionTest, ImpossibleDeadlineShedsTheWholeQueue) {
@@ -447,18 +459,18 @@ TEST(EngineAdmissionTest, ImpossibleDeadlineShedsTheWholeQueue) {
   // Base service floor is 10ms; a 1ms deadline dooms every query the
   // moment it arrives, so nothing is ever dispatched.
   options.admission.deadline_s = 0.001;
-  Engine engine(TinySpec(catalog, truth, {1, 0}),
-                std::make_unique<policy::KairosPolicy>(), PredictorOptions{},
-                options);
+  auto engine = OrThrow(Engine::Create(TinySpec(catalog, truth, {1, 0}),
+                                       std::make_unique<policy::KairosPolicy>(),
+                                       PredictorOptions{}, options));
   for (std::uint64_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE(engine.Submit(Query{i, 2, 0.01 * (i + 1)}).ok());
+    ASSERT_TRUE(engine->Submit(Query{i, 2, 0.01 * (i + 1)}).ok());
   }
-  engine.Drain();
-  EXPECT_EQ(engine.Totals().offered, 5u);
-  EXPECT_EQ(engine.Totals().served, 0u);
-  EXPECT_EQ(engine.Shed(), 5u);
-  EXPECT_EQ(engine.Rejected(), 0u);
-  EXPECT_EQ(engine.Backlog(), 0u);
+  engine->Drain();
+  EXPECT_EQ(engine->Totals().offered, 5u);
+  EXPECT_EQ(engine->Totals().served, 0u);
+  EXPECT_EQ(engine->Shed(), 5u);
+  EXPECT_EQ(engine->Rejected(), 0u);
+  EXPECT_EQ(engine->Backlog(), 0u);
 }
 
 TEST(EngineAdmissionTest, HugeLimitsAreBitIdenticalToDisabled) {
@@ -469,17 +481,17 @@ TEST(EngineAdmissionTest, HugeLimitsAreBitIdenticalToDisabled) {
     options.seed = 11;
     options.run.abort_violation_fraction = 0.0;
     options.admission = admission;
-    Engine engine(TinySpec(catalog, truth, {1, 1}),
-                  std::make_unique<policy::KairosPolicy>(),
-                  PredictorOptions{}, options);
+    auto engine = OrThrow(Engine::Create(
+        TinySpec(catalog, truth, {1, 1}),
+        std::make_unique<policy::KairosPolicy>(), PredictorOptions{}, options));
     QuerySourceSpec spec;
     spec.source = "PRODUCTION";
     spec.rate_qps = 60.0;
     auto source = QuerySourceRegistry::Global().Build(spec);
     EXPECT_TRUE(source.ok());
-    EXPECT_TRUE(engine.SubmitSource(**source).ok());
-    engine.AdvanceTo(5.0);
-    return engine.TakeWindow();
+    EXPECT_TRUE(engine->SubmitSource(**source).ok());
+    engine->AdvanceTo(5.0);
+    return engine->TakeWindow();
   };
   AdmissionOptions generous;
   generous.max_queue = 1u << 20;
@@ -506,9 +518,9 @@ TEST(EngineAdmissionTest, ShedAccountingBitIdenticalAcrossStepSizes) {
     options.run.abort_violation_fraction = 0.0;
     options.admission.max_queue = 32;
     options.admission.deadline_s = 0.1;
-    return std::make_unique<Engine>(TinySpec(catalog, truth, {1, 0}),
-                                    std::make_unique<policy::KairosPolicy>(),
-                                    PredictorOptions{}, options);
+    return OrThrow(Engine::Create(TinySpec(catalog, truth, {1, 0}),
+                                  std::make_unique<policy::KairosPolicy>(),
+                                  PredictorOptions{}, options));
   };
   auto make_source = [] {
     QuerySourceSpec spec;
@@ -545,32 +557,33 @@ TEST(EngineAdmissionTest, ShedAccountingBitIdenticalAcrossStepSizes) {
 TEST(EngineAdmissionTest, SetAdmissionValidatesAndAppliesMidRun) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  Engine engine(TinySpec(catalog, truth, {1, 0}),
-                std::make_unique<policy::KairosPolicy>());
+  auto engine = OrThrow(Engine::Create(
+      TinySpec(catalog, truth, {1, 0}),
+      std::make_unique<policy::KairosPolicy>()));
 
   AdmissionOptions negative;
   negative.deadline_s = -1.0;
-  EXPECT_EQ(engine.SetAdmission(negative).code(),
+  EXPECT_EQ(engine->SetAdmission(negative).code(),
             StatusCode::kInvalidArgument);
 
   // Queue work behind a long-running head, then tighten the deadline
   // mid-run: the doomed tail is shed at the next policy round.
-  ASSERT_TRUE(engine.Submit(Query{0, 1000, 0.0}).ok());  // 110ms on base
+  ASSERT_TRUE(engine->Submit(Query{0, 1000, 0.0}).ok());  // 110ms on base
   for (std::uint64_t i = 1; i <= 4; ++i) {
-    ASSERT_TRUE(engine.Submit(Query{i, 1000, 0.001}).ok());
+    ASSERT_TRUE(engine->Submit(Query{i, 1000, 0.001}).ok());
   }
-  engine.AdvanceTo(0.05);
-  EXPECT_EQ(engine.Shed(), 0u);
+  engine->AdvanceTo(0.05);
+  EXPECT_EQ(engine->Shed(), 0u);
   AdmissionOptions tight;
   tight.deadline_s = 0.2;  // heads now need >= 3 x 110ms of queue ahead
-  ASSERT_TRUE(engine.SetAdmission(tight).ok());
-  EXPECT_DOUBLE_EQ(engine.admission().deadline_s, 0.2);
-  engine.Drain();
-  EXPECT_GT(engine.Shed(), 0u);
-  EXPECT_EQ(engine.Totals().served + engine.Shed(), 5u);
+  ASSERT_TRUE(engine->SetAdmission(tight).ok());
+  EXPECT_DOUBLE_EQ(engine->admission().deadline_s, 0.2);
+  engine->Drain();
+  EXPECT_GT(engine->Shed(), 0u);
+  EXPECT_EQ(engine->Totals().served + engine->Shed(), 5u);
 
   // DRAINED engines are immutable.
-  EXPECT_EQ(engine.SetAdmission(AdmissionOptions{}).code(),
+  EXPECT_EQ(engine->SetAdmission(AdmissionOptions{}).code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -579,10 +592,11 @@ TEST(EngineAdmissionTest, SetAdmissionValidatesAndAppliesMidRun) {
 TEST(WindowedMetricsCornerTest, EmptyWindowReportsAllZeroes) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  Engine engine(TinySpec(catalog, truth, {1, 0}),
-                std::make_unique<policy::KairosPolicy>());
-  engine.AdvanceTo(1.0);
-  const WindowedMetrics window = engine.TakeWindow();
+  auto engine = OrThrow(Engine::Create(
+      TinySpec(catalog, truth, {1, 0}),
+      std::make_unique<policy::KairosPolicy>()));
+  engine->AdvanceTo(1.0);
+  const WindowedMetrics window = engine->TakeWindow();
   EXPECT_EQ(window.offered, 0u);
   EXPECT_EQ(window.served, 0u);
   EXPECT_EQ(window.rejected, 0u);
@@ -598,11 +612,12 @@ TEST(WindowedMetricsCornerTest, EmptyWindowReportsAllZeroes) {
 TEST(WindowedMetricsCornerTest, SingleCompletionWindowP99EqualsItsLatency) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  Engine engine(TinySpec(catalog, truth, {1, 0}),
-                std::make_unique<policy::KairosPolicy>());
-  ASSERT_TRUE(engine.Submit(Query{0, 40, 0.25}).ok());
-  engine.AdvanceTo(1.0);
-  const WindowedMetrics window = engine.TakeWindow();
+  auto engine = OrThrow(Engine::Create(
+      TinySpec(catalog, truth, {1, 0}),
+      std::make_unique<policy::KairosPolicy>()));
+  ASSERT_TRUE(engine->Submit(Query{0, 40, 0.25}).ok());
+  engine->AdvanceTo(1.0);
+  const WindowedMetrics window = engine->TakeWindow();
   EXPECT_EQ(window.offered, 1u);
   EXPECT_EQ(window.served, 1u);
   EXPECT_GT(window.p99_ms, 0.0);
@@ -618,14 +633,14 @@ TEST(WindowedMetricsCornerTest, FullyShedWindowReportsShedRateOne) {
   EngineOptions options;
   options.run.abort_violation_fraction = 0.0;
   options.admission.deadline_s = 0.001;  // below the 10ms service floor
-  Engine engine(TinySpec(catalog, truth, {1, 0}),
-                std::make_unique<policy::KairosPolicy>(), PredictorOptions{},
-                options);
+  auto engine = OrThrow(Engine::Create(TinySpec(catalog, truth, {1, 0}),
+                                       std::make_unique<policy::KairosPolicy>(),
+                                       PredictorOptions{}, options));
   for (std::uint64_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE(engine.Submit(Query{i, 3, 0.1 * (i + 1)}).ok());
+    ASSERT_TRUE(engine->Submit(Query{i, 3, 0.1 * (i + 1)}).ok());
   }
-  engine.AdvanceTo(1.0);
-  const WindowedMetrics window = engine.TakeWindow();
+  engine->AdvanceTo(1.0);
+  const WindowedMetrics window = engine->TakeWindow();
   EXPECT_EQ(window.offered, 5u);
   EXPECT_EQ(window.served, 0u);
   EXPECT_EQ(window.shed, 5u);

@@ -107,7 +107,8 @@ TEST(FleetServeTest, MarginalReallocationBeatsFrozenUnderLoadShift) {
 
   auto frozen = fleet.ServeAll(plan.value(), serve);
   ASSERT_TRUE(frozen.ok()) << frozen.status().ToString();
-  serve.realloc_period_s = 10.0;
+  serve.controller = "PERIODIC";
+  serve.controller_knobs = {{"period_s", 10.0}};
   auto adaptive = fleet.ServeAll(plan.value(), serve);
   ASSERT_TRUE(adaptive.ok()) << adaptive.status().ToString();
 
@@ -177,7 +178,8 @@ TEST(FleetServeTest, ReallocationWorksWithEvaluationDrivenPlanners) {
   serve.duration_s = 10.0;
   serve.base_rate_qps = 10.0;
   serve.window_s = 5.0;
-  serve.realloc_period_s = 5.0;
+  serve.controller = "PERIODIC";
+  serve.controller_knobs = {{"period_s", 5.0}};
   serve.search = search;
   const auto result = fleet->ServeAll(*plan, serve);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -230,41 +232,6 @@ void ExpectBitIdentical(const FleetServeResult& a, const FleetServeResult& b) {
   }
 }
 
-// The PR 5 refactor contract: the legacy spelling (realloc_period_s > 0,
-// no named controller) and the explicit "PERIODIC" controller must be the
-// same loop — windows, totals, shares and control log bit-identical for
-// every serve_threads. (The pre-refactor fixed-timer loop itself was
-// fingerprinted at full precision before the control plane landed and the
-// PERIODIC path reproduces it exactly; this test keeps the two spellings
-// pinned together from here on.)
-TEST(FleetServeTest, ExplicitPeriodicControllerEqualsLegacyWiring) {
-  const Fleet fleet = MakeFleet();
-  const auto plan = fleet.PlanAll();
-  ASSERT_TRUE(plan.ok());
-
-  FleetServeOptions legacy;
-  legacy.duration_s = 30.0;
-  legacy.base_rate_qps = 18.0;
-  legacy.window_s = 5.0;
-  legacy.realloc_period_s = 7.5;  // off the window grid on purpose
-  legacy.launch_lag_s = 1.0;
-  legacy.shifts = {FleetLoadShift{12.0, "RM2", 4.0}};
-
-  FleetServeOptions explicit_periodic = legacy;
-  explicit_periodic.controller = "PERIODIC";  // period_s inherited
-
-  for (const std::size_t threads : {1u, 4u, 8u}) {
-    legacy.serve_threads = threads;
-    explicit_periodic.serve_threads = threads;
-    const auto a = fleet.ServeAll(*plan, legacy);
-    const auto b = fleet.ServeAll(*plan, explicit_periodic);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(a->reallocations, 3u);
-    ExpectBitIdentical(*a, *b);
-  }
-}
-
 TEST(FleetServeTest, ServeThreadsAreBitIdentical) {
   const Fleet fleet = MakeFleet();
   const auto plan = fleet.PlanAll();
@@ -277,7 +244,8 @@ TEST(FleetServeTest, ServeThreadsAreBitIdentical) {
   serve.duration_s = 30.0;
   serve.base_rate_qps = 18.0;
   serve.window_s = 5.0;
-  serve.realloc_period_s = 10.0;
+  serve.controller = "PERIODIC";
+  serve.controller_knobs = {{"period_s", 10.0}};
   serve.launch_lag_s = 1.0;
   serve.shifts = {FleetLoadShift{12.0, "RM2", 4.0}};
 
@@ -436,7 +404,8 @@ TEST(FleetServeTest, ReallocationNeedsWarmMonitors) {
       options);
   ASSERT_TRUE(cold.ok());
   FleetServeOptions serve = ShortServe();
-  serve.realloc_period_s = 5.0;
+  serve.controller = "PERIODIC";
+  serve.controller_knobs = {{"period_s", 5.0}};
   EXPECT_EQ(cold->ServeAll(*plan, serve).status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_TRUE(cold->ServeAll(*plan, ShortServe()).ok());

@@ -10,6 +10,7 @@
 
 #include "cloud/config_space.h"
 #include "core/kairos.h"
+#include "or_throw.h"
 #include "oracle/oracle.h"
 #include "policy/registry.h"
 #include "serving/throughput_eval.h"
@@ -36,9 +37,9 @@ class EndToEnd : public ::testing::TestWithParam<std::string> {
 };
 
 TEST_P(EndToEnd, PlannedHeteroBeatsScaledHomogeneous) {
-  core::Kairos kairos(catalog_, GetParam());
+  core::Kairos kairos = OrThrow(core::Kairos::Create(catalog_, GetParam()));
   kairos.ObserveMix(mix_);
-  const core::Plan plan = kairos.PlanConfiguration();
+  const core::Plan plan = OrThrow(kairos.PlanConfiguration());
 
   const auto hetero = kairos.MeasureThroughput(
       plan.config, mix_, SmokeEval(plan.ranked.front().upper_bound * 0.5));
@@ -53,9 +54,9 @@ TEST_P(EndToEnd, PlannedHeteroBeatsScaledHomogeneous) {
 }
 
 TEST_P(EndToEnd, KairosDistributorBeatsRibbonOnSameHardware) {
-  core::Kairos kairos(catalog_, GetParam());
+  core::Kairos kairos = OrThrow(core::Kairos::Create(catalog_, GetParam()));
   kairos.ObserveMix(mix_);
-  const core::Plan plan = kairos.PlanConfiguration();
+  const core::Plan plan = OrThrow(kairos.PlanConfiguration());
   const double qos = kairos.qos_ms();
 
   const auto eval = SmokeEval(plan.ranked.front().upper_bound * 0.5);
@@ -69,9 +70,9 @@ TEST_P(EndToEnd, KairosDistributorBeatsRibbonOnSameHardware) {
 }
 
 TEST_P(EndToEnd, UpperBoundDominatesMeasuredOnTopCandidates) {
-  core::Kairos kairos(catalog_, GetParam());
+  core::Kairos kairos = OrThrow(core::Kairos::Create(catalog_, GetParam()));
   kairos.ObserveMix(mix_);
-  const core::Plan plan = kairos.PlanConfiguration();
+  const core::Plan plan = OrThrow(kairos.PlanConfiguration());
   for (std::size_t rank : {std::size_t{0}, std::size_t{4}, std::size_t{9}}) {
     if (rank >= plan.ranked.size()) continue;
     const auto& candidate = plan.ranked[rank];
@@ -88,7 +89,7 @@ INSTANTIATE_TEST_SUITE_P(Models, EndToEnd,
 
 TEST(EndToEndSearch, KairosPlusEvaluatesTinyFractionOfSpace) {
   const Catalog catalog = Catalog::PaperPool();
-  core::Kairos kairos(catalog, "RM2");
+  core::Kairos kairos = OrThrow(core::Kairos::Create(catalog, "RM2"));
   kairos.ObserveMix(workload::LogNormalBatches::Production());
 
   // Real (but cheap) evaluation function with memoization inside the
@@ -97,8 +98,8 @@ TEST(EndToEndSearch, KairosPlusEvaluatesTinyFractionOfSpace) {
   const search::EvalFn eval = [&](const Config& c) {
     return kairos.MeasureThroughput(c, mix, SmokeEval(30.0)).qps;
   };
-  const auto result = kairos.PlanWithEvaluations(eval);
-  const std::size_t space = kairos.PlanConfiguration().ranked.size();
+  const auto result = OrThrow(kairos.PlanWithEvaluations(eval));
+  const std::size_t space = OrThrow(kairos.PlanConfiguration()).ranked.size();
   EXPECT_GT(result.best_qps, 0.0);
   // Fig. 10: Kairos+ consistently evaluates less than ~1% of the space;
   // allow smoke-level slack.
@@ -107,10 +108,10 @@ TEST(EndToEndSearch, KairosPlusEvaluatesTinyFractionOfSpace) {
 
 TEST(EndToEndOracle, OracleDominatesKairosOnPlannedConfig) {
   const Catalog catalog = Catalog::PaperPool();
-  core::Kairos kairos(catalog, "RM2");
+  core::Kairos kairos = OrThrow(core::Kairos::Create(catalog, "RM2"));
   const auto mix = workload::LogNormalBatches::Production();
   kairos.ObserveMix(mix);
-  const core::Plan plan = kairos.PlanConfiguration();
+  const core::Plan plan = OrThrow(kairos.PlanConfiguration());
   const auto measured = kairos.MeasureThroughput(
       plan.config, mix, SmokeEval(plan.ranked.front().upper_bound * 0.5));
   const double oracle = oracle::OracleThroughput(
@@ -124,10 +125,10 @@ TEST(EndToEndOracle, OracleDominatesKairosOnPlannedConfig) {
 TEST(EndToEndNoise, FivePercentPredictionNoiseDoesNotCollapseThroughput) {
   // Fig. 16b: Kairos is robust to 5% latency-prediction noise.
   const Catalog catalog = Catalog::PaperPool();
-  core::Kairos kairos(catalog, "RM2");
+  core::Kairos kairos = OrThrow(core::Kairos::Create(catalog, "RM2"));
   const auto mix = workload::LogNormalBatches::Production();
   kairos.ObserveMix(mix);
-  const core::Plan plan = kairos.PlanConfiguration();
+  const core::Plan plan = OrThrow(kairos.PlanConfiguration());
 
   serving::PredictorOptions noisy;
   noisy.noise_sigma = 0.05;
@@ -146,15 +147,15 @@ TEST(EndToEndRegimeChange, MonitorShiftChangesThePlan) {
   // configuration (or at least its upper-bound ranking) follows without
   // any online evaluation.
   const Catalog catalog = Catalog::PaperPool();
-  core::Kairos kairos(catalog, "RM2");
+  core::Kairos kairos = OrThrow(core::Kairos::Create(catalog, "RM2"));
   kairos.ObserveMix(workload::LogNormalBatches::Production());
-  const core::Plan before = kairos.PlanConfiguration();
+  const core::Plan before = OrThrow(kairos.PlanConfiguration());
 
   kairos.ResetMonitor();
   // All-large Gaussian mix: auxiliaries lose their QoS region.
   const workload::GaussianBatches big(850.0, 60.0);
   kairos.ObserveMix(big);
-  const core::Plan after = kairos.PlanConfiguration();
+  const core::Plan after = OrThrow(kairos.PlanConfiguration());
   // With (almost) no aux-feasible queries, the plan must lean on base
   // instances much harder than before.
   EXPECT_GT(after.config.Count(0), before.config.Count(0));

@@ -13,6 +13,7 @@
 #include "policy/ribbon_policy.h"
 #include "serving/engine.h"
 #include "workload/trace.h"
+#include "or_throw.h"
 #include "reference_jv.h"
 #include "serve_trace.h"
 
@@ -559,12 +560,14 @@ TEST(Fig5SlackScenario, KairosServesAllFourFcfsDoesNot) {
 
   serving::EngineOptions keep;
   keep.run.abort_violation_fraction = 0.0;
-  serving::Engine kairos_engine(spec, std::make_unique<KairosPolicy>(),
-                                serving::PredictorOptions{}, keep);
-  serving::Engine fcfs_engine(spec, std::make_unique<RibbonPolicy>(),
-                              serving::PredictorOptions{}, keep);
-  const auto kairos_run = serving::ServeTrace(kairos_engine, trace);
-  const auto fcfs_run = serving::ServeTrace(fcfs_engine, trace);
+  auto kairos_engine = OrThrow(serving::Engine::Create(
+      spec, std::make_unique<KairosPolicy>(), serving::PredictorOptions{},
+      keep));
+  auto fcfs_engine = OrThrow(serving::Engine::Create(
+      spec, std::make_unique<RibbonPolicy>(), serving::PredictorOptions{},
+      keep));
+  const auto kairos_run = serving::ServeTrace(*kairos_engine, trace);
+  const auto fcfs_run = serving::ServeTrace(*fcfs_engine, trace);
   EXPECT_EQ(kairos_run.violations, 0u)
       << "Kairos should serve all 4 queries within QoS";
   EXPECT_GT(fcfs_run.violations, 0u)

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "core/kairos.h"
 #include "oracle/oracle.h"
+#include "or_throw.h"
 #include "policy/policy.h"
 #include "policy/registry.h"
 #include "serve_trace.h"
@@ -78,14 +79,15 @@ TEST_P(FuzzPolicyInvariants, SystemStateStaysConsistent) {
   serving::EngineOptions options;
   options.run.abort_violation_fraction = 0.0;  // serve everything
   options.run.keep_records = true;
-  serving::Engine engine(spec, std::make_unique<RandomPolicy>(seed, early),
-                         serving::PredictorOptions{}, options);
+  auto engine = OrThrow(serving::Engine::Create(
+      spec, std::make_unique<RandomPolicy>(seed, early),
+      serving::PredictorOptions{}, options));
 
   Rng rng(seed ^ 0xF00D);
   const auto mix = workload::LogNormalBatches::Production();
   const auto trace = workload::Trace::Generate(
       workload::PoissonArrivals(60.0), mix, 400, rng);
-  const serving::RunResult run = serving::ServeTrace(engine, trace);
+  const serving::RunResult run = serving::ServeTrace(*engine, trace);
 
   // Everything offered is eventually served exactly once (fuzz policy may
   // delay but arrivals keep triggering rounds; random assignment always

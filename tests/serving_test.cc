@@ -7,6 +7,7 @@
 #include "latency/model_zoo.h"
 #include "policy/kairos_policy.h"
 #include "policy/ribbon_policy.h"
+#include "or_throw.h"
 #include "serve_trace.h"
 #include "serving/engine.h"
 #include "serving/latency_predictor.h"
@@ -101,9 +102,10 @@ TEST(LatencyPredictorTest, NoiseIsAppliedOnlyToPredict) {
 TEST(EngineBatchTest, SingleQuerySingleInstance) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  Engine engine(TinySpec(catalog, truth, {1, 0}),
-                std::make_unique<policy::RibbonPolicy>());
-  const RunResult r = ServeTrace(engine, Trace({Query{0, 100, 0.0}}));
+  auto engine = OrThrow(Engine::Create(
+      TinySpec(catalog, truth, {1, 0}),
+      std::make_unique<policy::RibbonPolicy>()));
+  const RunResult r = ServeTrace(*engine, Trace({Query{0, 100, 0.0}}));
   EXPECT_EQ(r.served, 1u);
   EXPECT_EQ(r.violations, 0u);
   // Latency = serving latency (no queueing): 10 + 0.1*100 = 20 ms.
@@ -114,11 +116,12 @@ TEST(EngineBatchTest, SingleQuerySingleInstance) {
 TEST(EngineBatchTest, QueueingDelaysAreAccounted) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  Engine engine(TinySpec(catalog, truth, {1, 0}),
-                std::make_unique<policy::RibbonPolicy>());
+  auto engine = OrThrow(Engine::Create(
+      TinySpec(catalog, truth, {1, 0}),
+      std::make_unique<policy::RibbonPolicy>()));
   // Two simultaneous queries on one instance: second waits for the first.
   const RunResult r =
-      ServeTrace(engine, Trace({Query{0, 100, 0.0}, Query{1, 100, 0.0}}));
+      ServeTrace(*engine, Trace({Query{0, 100, 0.0}, Query{1, 100, 0.0}}));
   ASSERT_EQ(r.served, 2u);
   EXPECT_NEAR(r.latencies_ms[0], 20.0, 1e-9);
   EXPECT_NEAR(r.latencies_ms[1], 40.0, 1e-9);  // 20 wait + 20 serve
@@ -128,11 +131,12 @@ TEST(EngineBatchTest, ViolationsCounted) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
   // QoS 25 ms: a batch-100 query is fine alone (20ms) but queued is not.
-  Engine engine(TinySpec(catalog, truth, {1, 0}, 25.0),
-                std::make_unique<policy::RibbonPolicy>(), PredictorOptions{},
-                EngineOptions{.run = {.abort_violation_fraction = 0.0}});
+  auto engine = OrThrow(Engine::Create(
+      TinySpec(catalog, truth, {1, 0}, 25.0),
+      std::make_unique<policy::RibbonPolicy>(), PredictorOptions{},
+      EngineOptions{.run = {.abort_violation_fraction = 0.0}}));
   const RunResult r =
-      ServeTrace(engine, Trace({Query{0, 100, 0.0}, Query{1, 100, 0.0}}));
+      ServeTrace(*engine, Trace({Query{0, 100, 0.0}, Query{1, 100, 0.0}}));
   EXPECT_EQ(r.violations, 1u);
   EXPECT_FALSE(r.QosMet(25.0));
 }
@@ -140,14 +144,15 @@ TEST(EngineBatchTest, ViolationsCounted) {
 TEST(EngineBatchTest, EarlyAbortOnViolationOverflow) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  Engine engine(TinySpec(catalog, truth, {1, 0}, 25.0),
-                std::make_unique<policy::RibbonPolicy>(), PredictorOptions{},
-                EngineOptions{.run = {.abort_violation_fraction = 0.05}});
+  auto engine = OrThrow(Engine::Create(
+      TinySpec(catalog, truth, {1, 0}, 25.0),
+      std::make_unique<policy::RibbonPolicy>(), PredictorOptions{},
+      EngineOptions{.run = {.abort_violation_fraction = 0.05}}));
   std::vector<Query> qs;
   for (int i = 0; i < 200; ++i) {
     qs.push_back(Query{static_cast<workload::QueryId>(i), 100, 0.0});
   }
-  const RunResult r = ServeTrace(engine, Trace(qs));
+  const RunResult r = ServeTrace(*engine, Trace(qs));
   EXPECT_TRUE(r.aborted);
   EXPECT_LT(r.served, 200u);
 }
@@ -155,13 +160,14 @@ TEST(EngineBatchTest, EarlyAbortOnViolationOverflow) {
 TEST(EngineBatchTest, PerTypeStatsSumToTotals) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  Engine engine(TinySpec(catalog, truth, {1, 2}),
-                std::make_unique<policy::KairosPolicy>());
+  auto engine = OrThrow(Engine::Create(
+      TinySpec(catalog, truth, {1, 2}),
+      std::make_unique<policy::KairosPolicy>()));
   Rng rng(3);
   const auto mix = workload::LogNormalBatches::Production();
   const Trace trace =
       Trace::Generate(workload::PoissonArrivals(40.0), mix, 300, rng);
-  const RunResult r = ServeTrace(engine, trace);
+  const RunResult r = ServeTrace(*engine, trace);
   std::size_t total = 0;
   for (std::size_t s : r.per_type_served) total += s;
   EXPECT_EQ(total, r.served);
@@ -170,11 +176,12 @@ TEST(EngineBatchTest, PerTypeStatsSumToTotals) {
 TEST(EngineBatchTest, RecordsKeptWhenRequested) {
   const Catalog catalog = TinyCatalog();
   const LatencyModel truth = TinyModel();
-  Engine engine(TinySpec(catalog, truth, {1, 1}),
-                std::make_unique<policy::KairosPolicy>(), PredictorOptions{},
-                EngineOptions{.run = {.keep_records = true}});
+  auto engine = OrThrow(Engine::Create(
+      TinySpec(catalog, truth, {1, 1}),
+      std::make_unique<policy::KairosPolicy>(), PredictorOptions{},
+      EngineOptions{.run = {.keep_records = true}}));
   const RunResult r =
-      ServeTrace(engine, Trace({Query{0, 10, 0.0}, Query{1, 600, 0.001}}));
+      ServeTrace(*engine, Trace({Query{0, 10, 0.0}, Query{1, 600, 0.001}}));
   ASSERT_EQ(r.records.size(), 2u);
   for (const ServedRecord& rec : r.records) {
     EXPECT_GE(rec.start, rec.arrival);
@@ -191,12 +198,14 @@ TEST(EngineBatchTest, RunIsRepeatable) {
   const auto mix = workload::LogNormalBatches::Production();
   const Trace trace =
       Trace::Generate(workload::PoissonArrivals(30.0), mix, 200, rng);
-  Engine first(TinySpec(catalog, truth, {1, 1}),
-               std::make_unique<policy::KairosPolicy>());
-  Engine second(TinySpec(catalog, truth, {1, 1}),
-                std::make_unique<policy::KairosPolicy>());
-  const RunResult a = ServeTrace(first, trace);
-  const RunResult b = ServeTrace(second, trace);
+  auto first = OrThrow(Engine::Create(
+      TinySpec(catalog, truth, {1, 1}),
+      std::make_unique<policy::KairosPolicy>()));
+  auto second = OrThrow(Engine::Create(
+      TinySpec(catalog, truth, {1, 1}),
+      std::make_unique<policy::KairosPolicy>()));
+  const RunResult a = ServeTrace(*first, trace);
+  const RunResult b = ServeTrace(*second, trace);
   EXPECT_EQ(a.served, b.served);
   EXPECT_DOUBLE_EQ(a.p99_ms, b.p99_ms);
 }
@@ -264,8 +273,8 @@ EvalResult ReferenceEvaluateConfig(const SystemSpec& spec,
   auto passes = [&](double rate) {
     ++result.trials;
     const Trace trial = base.Retimed(rate);
-    Engine engine(spec, policy_factory());
-    return ServeTrace(engine, trial).QosMet(spec.qos_ms);
+    auto engine = OrThrow(Engine::Create(spec, policy_factory()));
+    return ServeTrace(*engine, trial).QosMet(spec.qos_ms);
   };
 
   double lo = 0.0;

@@ -587,7 +587,8 @@ core::FleetServeOptions BusyServe() {
   options.duration_s = 20.0;
   options.base_rate_qps = 25.0;
   options.window_s = 2.5;
-  options.realloc_period_s = 7.5;
+  options.controller = "PERIODIC";
+  options.controller_knobs = {{"period_s", 7.5}};
   options.launch_lag_s = 1.0;
   options.shifts = {core::FleetLoadShift{8.0, "RM2", 4.0}};
   return options;
