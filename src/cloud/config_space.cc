@@ -19,13 +19,6 @@ std::vector<Config> EnumerateConfigs(const Catalog& catalog,
                                                        double remaining) {
     if (type == n) {
       if (counts[base] < options.min_base_instances) return;
-      if (!options.include_empty_aux) {
-        int aux_total = 0;
-        for (TypeId t = 0; t < n; ++t) {
-          if (t != base) aux_total += counts[t];
-        }
-        if (aux_total == 0) return;
-      }
       out.emplace_back(counts);
       return;
     }

@@ -15,7 +15,6 @@ namespace kairos::cloud {
 struct ConfigSpaceOptions {
   double budget_per_hour = 2.5;  ///< paper default $2.5/hr
   int min_base_instances = 1;    ///< require at least this many base nodes
-  bool include_empty_aux = true; ///< keep homogeneous (aux counts all zero)
 };
 
 /// Enumerates every config within budget, in lexicographic order.

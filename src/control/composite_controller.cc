@@ -1,12 +1,13 @@
 // "COMPOSITE": chains several controllers into one closed loop. Children
 // are consulted in order at every barrier; their actions concatenate with
-// three dedup rules — at most one kReallocate per barrier (the first
-// child's reason wins; one re-split already replans every model), at
-// most one kResetMonitor per model, and at most one chaos recovery
-// (kRespread / kFailover) per model per barrier. The registry build
-// chains QOS + BACKLOG + DRIFT (+ FAILOVER when toggled on, + PERIODIC
-// as a slow safety net when period_s is set), each child with its
-// default thresholds; custom chains go through MakeCompositeController.
+// five dedup rules — at most one kReallocate per barrier (the first
+// child's reason wins; one re-split already replans every model), and per
+// model at most one kResetMonitor, one chaos recovery (kRespread /
+// kFailover), one kSetShed and one kBorrowBudget per barrier, the earlier
+// child's action standing. The registry build chains QOS + BACKLOG +
+// DRIFT (+ FAILOVER / SHED when toggled on, + PERIODIC as a slow safety
+// net when period_s is set), each child with its default thresholds;
+// custom chains go through MakeCompositeController.
 #include <string>
 #include <utility>
 

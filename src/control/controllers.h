@@ -111,10 +111,12 @@ std::unique_ptr<FleetController> MakeShedController(
     ShedControllerOptions options = {});
 
 /// "COMPOSITE": consults `children` in order and concatenates their
-/// actions, keeping at most one kReallocate per barrier, one
-/// kResetMonitor per model, and one kRespread / kFailover per model
-/// (kFailover wins when both fire). The registry-built COMPOSITE chains
-/// QOS + BACKLOG + DRIFT + FAILOVER (toggles and period_s via knobs);
+/// actions, keeping at most one kReallocate per barrier and, per model,
+/// at most one kResetMonitor, one chaos recovery (kRespread or
+/// kFailover), one kSetShed and one kBorrowBudget. Where two children
+/// emit the same kind for a model, the earlier child's action stands.
+/// The registry-built COMPOSITE chains QOS + BACKLOG + DRIFT, plus
+/// FAILOVER and SHED when toggled on and PERIODIC when period_s > 0;
 /// this factory chains an arbitrary set.
 std::unique_ptr<FleetController> MakeCompositeController(
     std::vector<std::unique_ptr<FleetController>> children);

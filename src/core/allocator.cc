@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
+#include <map>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -34,11 +34,10 @@ Status ValidateProblem(const AllocationProblem& problem) {
       return Status::InvalidArgument("model " + m.name +
                                      ": arrival_scale must be positive");
     }
-    if (m.floor < 0.0 || !(m.floor <= m.ceiling)) {
+    if (!(m.floor >= 0.0)) {  // NaN fails too
       return Status::InvalidArgument(
-          "model " + m.name + ": needs 0 <= floor <= ceiling, got floor " +
-          FormatDollarsPerHour(m.floor) + ", ceiling " +
-          FormatDollarsPerHour(m.ceiling));
+          "model " + m.name + ": needs a floor >= 0, got " +
+          FormatDollarsPerHour(m.floor));
     }
     floor_sum += m.floor;
   }
@@ -54,8 +53,7 @@ Status ValidateProblem(const AllocationProblem& problem) {
 
 /// The PR-1 weight-proportional split. A share below its model's floor is
 /// an error (the historical Fleet behavior: raise the budget or the
-/// weight); a share above its ceiling is clamped and the excess left
-/// unspent, keeping sum(shares) <= budget.
+/// weight).
 class StaticAllocator final : public BudgetAllocator {
  public:
   std::string Name() const override { return "STATIC"; }
@@ -78,7 +76,7 @@ class StaticAllocator final : public BudgetAllocator {
             FormatDollarsPerHour(m.floor) +
             "; raise the global budget or its weight");
       }
-      shares.push_back(std::min(share, m.ceiling));
+      shares.push_back(share);
     }
     return shares;
   }
@@ -87,9 +85,9 @@ class StaticAllocator final : public BudgetAllocator {
 /// Marginal-utility water-filling (DESIGN.md Sec. 7): start every model at
 /// its floor, then repeatedly grant one budget increment to the model whose
 /// probe reports the highest arrival-scaled marginal QPS per dollar, until
-/// the budget is spent, every model is capped, or all marginals vanish.
-/// Probes at a candidate's next budget level are issued concurrently and
-/// memoized, so one round costs at most one probe per model.
+/// the budget is spent or all marginals vanish. Each round probes every
+/// model one increment up, concurrently and memoized, so one round costs
+/// at most one probe per model.
 class MarginalAllocator final : public BudgetAllocator {
  public:
   std::string Name() const override { return "MARGINAL"; }
@@ -103,6 +101,8 @@ class MarginalAllocator final : public BudgetAllocator {
           "allocator MARGINAL needs AllocationProblem::probe");
     }
     const std::size_t n = problem.models.size();
+    std::vector<std::size_t> all(n);
+    std::iota(all.begin(), all.end(), 0);
 
     std::vector<double> shares(n);
     double remaining = problem.budget_per_hour;
@@ -114,11 +114,9 @@ class MarginalAllocator final : public BudgetAllocator {
     }
     remaining = std::max(0.0, remaining);
 
-    // Auto step: fine enough for ~32 grants of the spendable budget, but
-    // never below a tenth of a cent to keep probe counts bounded.
-    const double step = problem.step_per_hour > 0.0
-                            ? problem.step_per_hour
-                            : std::max(remaining / 32.0, 0.001);
+    // Fine enough for ~32 grants of the spendable budget, but never below
+    // a tenth of a cent to keep probe counts bounded.
+    const double step = std::max(remaining / 32.0, 0.001);
 
     // Memoized probes keyed by (model, budget in millicents) — losers of a
     // round keep their cached candidate probe for the next round.
@@ -126,106 +124,88 @@ class MarginalAllocator final : public BudgetAllocator {
     const auto key = [](std::size_t i, double budget) {
       return std::make_pair(i, static_cast<long long>(std::llround(budget * 1e5)));
     };
-    Status probe_error = Status::Ok();
-    std::mutex memo_mutex;
     // One pool for the whole allocation: the grant loop calls probe_all
     // dozens of times, so per-round thread creation would rival the
     // analytic probes themselves. Single-worker problems stay inline.
     const std::size_t workers = ParallelismFor(problem.threads, n);
     std::optional<ThreadPool> pool;
     if (workers > 1) pool.emplace(workers);
-    // Probes `budgets[i]` for every listed model concurrently, through the
-    // memo. On any probe failure, records the first error and stops
-    // granting.
+    // The pooled path's per-miss probe results, reused across rounds.
+    std::vector<StatusOr<double>> results;
+    // Probes `budgets[j]` for every listed model through the memo. Every
+    // miss is probed; the first failure in listing order is returned, so
+    // the error names the same model at every thread count.
     const auto probe_all = [&](const std::vector<std::size_t>& models,
                                const std::vector<double>& budgets) {
       std::vector<std::size_t> misses;
       for (std::size_t j = 0; j < models.size(); ++j) {
-        std::unique_lock<std::mutex> lock(memo_mutex);
         if (memo.find(key(models[j], budgets[j])) == memo.end()) {
           misses.push_back(j);
         }
       }
       const auto probe_one = [&](std::size_t k) {
+        return problem.probe(models[misses[k]], budgets[misses[k]]);
+      };
+      Status error = Status::Ok();
+      // Folds miss k's probe into the memo, in miss order.
+      const auto record = [&](std::size_t k, StatusOr<double> qps) {
         const std::size_t i = models[misses[k]];
         const double budget = budgets[misses[k]];
-        auto qps = problem.probe(i, budget);
-        std::unique_lock<std::mutex> lock(memo_mutex);
-        if (!qps.ok()) {
-          if (probe_error.ok()) {
-            probe_error = Status(qps.status().code(),
-                                 "model " + problem.models[i].name +
-                                     ": probe at " +
-                                     FormatDollarsPerHour(budget) + ": " +
-                                     qps.status().message());
-          }
-          return;
+        if (qps.ok()) {
+          memo[key(i, budget)] = *qps;
+        } else if (error.ok()) {
+          error = Status(qps.status().code(),
+                         "model " + problem.models[i].name + ": probe at " +
+                             FormatDollarsPerHour(budget) + ": " +
+                             qps.status().message());
         }
-        memo[key(i, budget)] = *qps;
       };
       if (!pool.has_value()) {
-        for (std::size_t k = 0; k < misses.size(); ++k) probe_one(k);
+        for (std::size_t k = 0; k < misses.size(); ++k) record(k, probe_one(k));
       } else {
+        results.assign(misses.size(), 0.0);
+        ParallelFor(*pool, misses.size(),
+                    [&](std::size_t k) { results[k] = probe_one(k); });
         for (std::size_t k = 0; k < misses.size(); ++k) {
-          pool->Submit([&probe_one, k] { probe_one(k); });
+          record(k, std::move(results[k]));
         }
-        pool->Wait();
       }
-      return probe_error;
+      return error;
     };
     const auto probed = [&](std::size_t i, double budget) {
       return memo.at(key(i, budget));
     };
 
     // Baseline probes at the floors.
-    {
-      std::vector<std::size_t> all(n);
-      std::vector<double> floors(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        all[i] = i;
-        floors[i] = shares[i];
-      }
-      if (Status s = probe_all(all, floors); !s.ok()) return s;
-    }
-
+    if (Status s = probe_all(all, shares); !s.ok()) return s;
     std::vector<double> qps(n);
     for (std::size_t i = 0; i < n; ++i) qps[i] = probed(i, shares[i]);
 
     while (remaining > kEps) {
       const double grant = std::min(step, remaining);
-      // Candidates: models whose ceiling admits another grant.
-      std::vector<std::size_t> candidates;
-      std::vector<double> budgets;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (shares[i] + grant <= problem.models[i].ceiling + kEps) {
-          candidates.push_back(i);
-          budgets.push_back(shares[i] + grant);
-        }
-      }
-      if (candidates.empty()) break;  // everyone capped; leave the rest unspent
-      if (Status s = probe_all(candidates, budgets); !s.ok()) return s;
+      std::vector<double> budgets(n);
+      for (std::size_t i = 0; i < n; ++i) budgets[i] = shares[i] + grant;
+      if (Status s = probe_all(all, budgets); !s.ok()) return s;
 
       // Highest arrival-scaled marginal QPS wins the grant; the weight
       // prior breaks ties (then the listing order, for determinism).
-      std::size_t best = candidates.size();
+      std::size_t best = n;
       double best_gain = 0.0;
-      for (std::size_t j = 0; j < candidates.size(); ++j) {
-        const std::size_t i = candidates[j];
+      for (std::size_t i = 0; i < n; ++i) {
         const double gain = problem.models[i].arrival_scale *
-                            (probed(i, budgets[j]) - qps[i]);
+                            (probed(i, budgets[i]) - qps[i]);
         const bool better =
-            best == candidates.size() || gain > best_gain + kEps ||
-            (gain > best_gain - kEps && problem.models[i].weight >
-                                            problem.models[candidates[best]].weight);
+            best == n || gain > best_gain + kEps ||
+            (gain > best_gain - kEps &&
+             problem.models[i].weight > problem.models[best].weight);
         if (better) {
-          best = j;
+          best = i;
           best_gain = gain;
         }
       }
       if (best_gain <= kEps) break;  // every model plateaued; stop spending
-      const std::size_t i = candidates[best];
-      shares[i] += grant;
-      qps[i] = probed(i, shares[i]);
+      shares[best] += grant;
+      qps[best] = probed(best, shares[best]);
       remaining -= grant;
     }
 
@@ -235,20 +215,15 @@ class MarginalAllocator final : public BudgetAllocator {
     // intent).
     auto static_shares = StaticAllocator().Allocate(problem);
     if (static_shares.ok()) {
-      std::vector<std::size_t> all(n);
-      std::iota(all.begin(), all.end(), 0);
-      if (Status s = probe_all(all, *static_shares); s.ok()) {
-        double ours = 0.0;
-        double prior = 0.0;
-        for (std::size_t i = 0; i < n; ++i) {
-          ours += problem.models[i].arrival_scale * qps[i];
-          prior += problem.models[i].arrival_scale *
-                   probed(i, (*static_shares)[i]);
-        }
-        if (prior > ours + kEps) return *std::move(static_shares);
-      } else {
-        return s;
+      if (Status s = probe_all(all, *static_shares); !s.ok()) return s;
+      double ours = 0.0;
+      double prior = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        ours += problem.models[i].arrival_scale * qps[i];
+        prior += problem.models[i].arrival_scale *
+                 probed(i, (*static_shares)[i]);
       }
+      if (prior > ours + kEps) return *std::move(static_shares);
     }
     return shares;
   }
@@ -259,8 +234,8 @@ const AllocatorRegistrar kStatic(
     [] { return std::make_unique<StaticAllocator>(); });
 const AllocatorRegistrar kMarginal(
     "MARGINAL",
-    "water-filling on probed marginal QPS per dollar (floors/ceilings, "
-    "weight prior as tie-breaker)",
+    "water-filling on probed marginal QPS per dollar (floors, weight "
+    "prior as tie-breaker)",
     [] { return std::make_unique<MarginalAllocator>(); });
 
 }  // namespace

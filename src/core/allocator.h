@@ -1,5 +1,5 @@
 // Budget-allocation strategies for the multi-model Fleet: given one global
-// $/hr envelope and per-model floors/ceilings/priors, decide each model's
+// $/hr envelope and per-model floors and priors, decide each model's
 // share. Strategies are interchangeable objects selected by name from the
 // AllocatorRegistry (common/registry.h, like every strategy plane):
 //
@@ -14,7 +14,6 @@
 #pragma once
 
 #include <functional>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,11 +33,9 @@ struct AllocModel {
   /// this factor (a model serving twice the traffic earns twice the
   /// credit per planned QPS). Must be > 0.
   double arrival_scale = 1.0;
-  /// Minimum feasible share in $/hr (the Fleet passes at least the price
-  /// of the cheapest base instance). Every allocator grants >= floor.
+  /// Minimum feasible share in $/hr (the Fleet passes the price of the
+  /// cheapest base instance). Every allocator grants >= floor.
   double floor = 0.0;
-  /// Maximum share in $/hr; infinity = uncapped.
-  double ceiling = std::numeric_limits<double>::infinity();
 };
 
 /// Planned throughput (QPS) of model `index` when granted `budget_per_hour`.
@@ -52,14 +49,12 @@ struct AllocationProblem {
   std::vector<AllocModel> models;
   /// Consulted only by allocators whose NeedsProbes() is true.
   ProbeFn probe;
-  /// Water-filling increment in $/hr; 0 = auto (budget-proportional).
-  double step_per_hour = 0.0;
   /// Concurrent probe fan-out; 0 = hardware concurrency.
   std::size_t threads = 0;
 };
 
 /// A budget-splitting strategy. Implementations must uphold, for every
-/// returned share vector s: floor_i <= s_i <= ceiling_i for all i, and
+/// returned share vector s: floor_i <= s_i for all i, and
 /// sum(s) <= budget_per_hour (+ float tolerance). Infeasible constraints
 /// (sum of floors exceeding the budget) come back as kInfeasible naming
 /// the binding model, never as a clamped-but-wrong answer.

@@ -203,12 +203,6 @@ Status CheckServeOptions(const FleetServeOptions& options) {
     return Status::InvalidArgument(
         "ServeAll needs positive duration_s, base_rate_qps and window_s");
   }
-  if (options.admission.max_queue_s < 0.0 ||
-      options.admission.deadline_s < 0.0) {
-    return Status::InvalidArgument(
-        "FleetServeOptions::admission: max_queue_s and deadline_s must "
-        "be >= 0");
-  }
   return Status::Ok();
 }
 
@@ -313,7 +307,6 @@ StatusOr<std::unique_ptr<workload::QuerySource>> SourceFor(
   if (trace_name == "STREAM") {
     spec.source = "STREAM";
     spec.path = model.trace_path;
-    spec.chunk_bytes = model.trace_chunk_bytes;
   } else if (trace_name == "TRACE") {
     // The materialized oracle of the STREAM path: same file, read
     // eagerly through the same parser, replayed from memory.
@@ -381,14 +374,14 @@ class LoanLedger {
   bool Owes(std::size_t j) const { return !loans_[j].empty(); }
 
   /// Moves up to `amount` $/hr into model j's share from the others'
-  /// headroom (share above floor, taken proportionally; a borrower does
-  /// not donate). Returns the new grants in donor order, or nullopt when
-  /// no donor has headroom (the loan is declined).
-  std::optional<std::span<const Loan>> Borrow(
-      std::size_t j, double amount, const std::vector<double>& floors,
-      std::vector<double>& shares) {
+  /// headroom (share above `floor`, taken proportionally; a borrower
+  /// does not donate). Returns the new grants in donor order, or nullopt
+  /// when no donor has headroom (the loan is declined).
+  std::optional<std::span<const Loan>> Borrow(std::size_t j, double amount,
+                                              double floor,
+                                              std::vector<double>& shares) {
     const auto headroom = [&](std::size_t m) {
-      return m == j || Owes(m) ? 0.0 : std::max(shares[m] - floors[m], 0.0);
+      return m == j || Owes(m) ? 0.0 : std::max(shares[m] - floor, 0.0);
     };
     double total = 0.0;
     for (std::size_t m = 0; m < shares.size(); ++m) total += headroom(m);
@@ -509,7 +502,6 @@ class Fleet::Run final : public chaos::ChaosTarget {
     instruments_.reserve(n_);  // engines keep pointers to the elements
     for (const std::size_t i : index_) {
       names_.push_back(fleet_.names_[i]);
-      floors_.push_back(fleet_.floors_[i]);
       plan_monitors_.push_back(&fleet_.sessions_[i].monitor());
     }
   }
@@ -705,7 +697,7 @@ class Fleet::Run final : public chaos::ChaosTarget {
       if (plan_monitors_[j]->Count() == 0) {
         return ForModel(names_[j],
                         Status::FailedPrecondition(
-                            "monitor is empty; call ObserveMix before "
+                            "monitor is empty; call ObserveMixAll before "
                             "ServeAll with a reallocation controller"));
       }
     }
@@ -1002,7 +994,7 @@ class Fleet::Run final : public chaos::ChaosTarget {
       std::vector<LoanLedger::Loan> repaid;
       if (action.amount_per_hour > 0.0) {
         const auto grants =
-            ledger_.Borrow(j, action.amount_per_hour, floors_, shares_);
+            ledger_.Borrow(j, action.amount_per_hour, fleet_.floor_, shares_);
         if (!grants.has_value()) continue;  // no headroom: loan declined
         for (const LoanLedger::Loan& loan : *grants) {
           if (Status s = Replan(loan.donor); !s.ok()) return s;
@@ -1145,7 +1137,7 @@ class Fleet::Run final : public chaos::ChaosTarget {
       const std::function<void(PlanRequest&)>& instrument) {
     const std::size_t i = index_[j];
     const CoreBudget core =
-        CoreBudgetFor(fleet_.model_options_[i], share, floors_[j]);
+        CoreBudgetFor(fleet_.model_options_[i], share, fleet_.floor_);
     if (!core.n_minus_one && planned != nullptr) return *planned;
     auto outcome = PlanModel(*backend_, fleet_.sessions_[i], *plan_monitors_[j],
                              options_.search, core.budget, instrument);
@@ -1176,7 +1168,6 @@ class Fleet::Run final : public chaos::ChaosTarget {
   /// bit-identical to a build without the subsystem.
   telemetry::Telemetry* const tel_;
   std::vector<std::string> names_;  ///< serving names
-  std::vector<double> floors_;      ///< share floors, $/hr
 
   std::unique_ptr<control::FleetController> controller_;  ///< null: frozen
   std::shared_ptr<chaos::ChaosInjector> injector_;         ///< null: no chaos
@@ -1216,8 +1207,9 @@ class Fleet::Run final : public chaos::ChaosTarget {
   std::unique_ptr<ThreadPool> pool_;  ///< null: shards advance serially
 };
 
-Fleet::Fleet(const cloud::Catalog& catalog, FleetOptions options)
-    : catalog_(catalog), options_(std::move(options)) {}
+Fleet::Fleet(const cloud::Catalog& catalog, FleetOptions options,
+             double floor)
+    : catalog_(catalog), options_(std::move(options)), floor_(floor) {}
 
 StatusOr<Fleet> Fleet::Create(const cloud::Catalog& catalog,
                               std::vector<FleetModelOptions> models,
@@ -1254,9 +1246,7 @@ StatusOr<Fleet> Fleet::Create(const cloud::Catalog& catalog,
         : m.arrival_scale <= 0.0 ? "arrival_scale must be positive"
         : m.qos_scale <= 0.0     ? "qos_scale must be positive"
         : m.monitor_warmup == 0  ? "monitor_warmup must be positive"
-        : m.min_budget_per_hour < 0.0 || m.max_budget_per_hour < 0.0
-            ? "budget bounds must be non-negative"
-            : nullptr;
+                                 : nullptr;
     if (invalid != nullptr) {
       return ForModel(serve_name(m), Status::InvalidArgument(invalid));
     }
@@ -1274,23 +1264,10 @@ StatusOr<Fleet> Fleet::Create(const cloud::Catalog& catalog,
   const auto min_base = MinBasePrice(catalog);
   if (!min_base.ok()) return min_base.status();
 
-  Fleet fleet(catalog, options);
+  Fleet fleet(catalog, options, *min_base);
   for (const FleetModelOptions& m : models) {
-    const double floor = std::max(m.min_budget_per_hour, *min_base);
-    const double ceiling = m.max_budget_per_hour > 0.0
-                               ? m.max_budget_per_hour
-                               : std::numeric_limits<double>::infinity();
-    if (floor > ceiling) {
-      return ForModel(serve_name(m),
-                      Status::InvalidArgument(
-                          "max budget " + FormatDollarsPerHour(ceiling) +
-                          " is below the effective floor " +
-                          FormatDollarsPerHour(floor) +
-                          " (cheapest base instance " +
-                          FormatDollarsPerHour(*min_base) + ")"));
-    }
     // File-backed traces (STREAM / TRACE) carry no batch mix of their
-    // own: ObserveMix / MeasureAll fall back to the caller-provided mix
+    // own: ObserveMixAll / MeasureAll fall back to the caller-provided mix
     // (nullptr entry), and ServeAll replays the file.
     std::unique_ptr<workload::BatchDistribution> mix;
     if (IsFileBackedTrace(CanonicalName(m.trace))) {
@@ -1307,9 +1284,6 @@ StatusOr<Fleet> Fleet::Create(const cloud::Catalog& catalog,
       mix = *std::move(trace);
     }
     fleet.names_.push_back(serve_name(m));
-    fleet.budgets_.push_back(options.budget_per_hour * m.weight / total_weight);
-    fleet.floors_.push_back(floor);
-    fleet.ceilings_.push_back(ceiling);
     fleet.mixes_.push_back(std::move(mix));
     fleet.model_options_.push_back(m);
   }
@@ -1317,15 +1291,16 @@ StatusOr<Fleet> Fleet::Create(const cloud::Catalog& catalog,
   // Surface infeasible constraints at construction time. Probe-free
   // allocators (STATIC) can run in full; probe-driven ones (MARGINAL)
   // re-split at every PlanAll(), so only their floors are checked here.
-  std::vector<double> create_shares = fleet.budgets_;
+  std::vector<double> create_shares;
   if (!(*allocator)->NeedsProbes()) {
     auto shares =
         (*allocator)->Allocate(fleet.Allocation(AllOf(models.size())));
     if (!shares.ok()) return shares.status();
     create_shares = *std::move(shares);
   } else {
+    // Summed as ValidateProblem sums, so both checks agree to the bit.
     double floor_sum = 0.0;
-    for (const double floor : fleet.floors_) floor_sum += floor;
+    for (std::size_t i = 0; i < models.size(); ++i) floor_sum += fleet.floor_;
     if (floor_sum > options.budget_per_hour + 1e-9) {
       return Status::Infeasible(
           "per-model budget floors sum to " + FormatDollarsPerHour(floor_sum) +
@@ -1340,11 +1315,9 @@ StatusOr<Fleet> Fleet::Create(const cloud::Catalog& catalog,
     // allocator re-splits on every PlanAll().
     const double spendable =
         std::max(0.0, options.budget_per_hour - floor_sum);
-    for (std::size_t i = 0; i < create_shares.size(); ++i) {
-      create_shares[i] =
-          std::min(fleet.floors_[i] +
-                       spendable * models[i].weight / total_weight,
-                   fleet.ceilings_[i]);
+    for (const FleetModelOptions& m : models) {
+      create_shares.push_back(fleet.floor_ +
+                              spendable * m.weight / total_weight);
     }
   }
 
@@ -1388,12 +1361,11 @@ AllocationProblem Fleet::Allocation(
     const std::vector<std::size_t>& models) const {
   AllocationProblem problem;
   problem.budget_per_hour = options_.budget_per_hour;
-  problem.step_per_hour = options_.allocation_step_per_hour;
   problem.threads = options_.planning_threads;
   for (const std::size_t i : models) {
     problem.models.push_back(AllocModel{names_[i], model_options_[i].weight,
                                         model_options_[i].arrival_scale,
-                                        floors_[i], ceilings_[i]});
+                                        floor_});
   }
   return problem;
 }
@@ -1402,20 +1374,6 @@ StatusOr<const Kairos*> Fleet::Session(const std::string& model) const {
   auto i = Find(model);
   if (!i.ok()) return i.status();
   return &sessions_[*i];
-}
-
-StatusOr<double> Fleet::BudgetFor(const std::string& model) const {
-  auto i = Find(model);
-  if (!i.ok()) return i.status();
-  return budgets_[*i];
-}
-
-Status Fleet::ObserveMix(const std::string& model,
-                         const workload::BatchDistribution& mix) {
-  auto i = Find(model);
-  if (!i.ok()) return i.status();
-  sessions_[*i].ObserveMix(MixFor(*i, mix));
-  return Status::Ok();
 }
 
 void Fleet::ObserveMixAll(const workload::BatchDistribution& mix) {
@@ -1433,9 +1391,9 @@ StatusOr<FleetPlan> Fleet::PlanAll(const search::SearchOptions& search) const {
   const std::size_t n = sessions_.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (sessions_[i].monitor().Count() == 0) {
-      return ForModel(names_[i],
-                      Status::FailedPrecondition(
-                          "monitor is empty; call ObserveMix before PlanAll"));
+      return ForModel(names_[i], Status::FailedPrecondition(
+                                     "monitor is empty; call ObserveMixAll "
+                                     "before PlanAll"));
     }
   }
 
@@ -1492,13 +1450,6 @@ StatusOr<FleetServeResult> Fleet::ServeAll(const FleetPlan& plan,
   if (status.ok()) status = run.Walk();
   if (!status.ok()) return status;
   return run.Fold();
-}
-
-StatusOr<std::unique_ptr<serving::Engine>> Fleet::Deploy(
-    const std::string& model, const cloud::Config& config) const {
-  auto i = Find(model);
-  if (!i.ok()) return i.status();
-  return sessions_[*i].Deploy(config);
 }
 
 StatusOr<FleetMeasurement> Fleet::MeasureAll(

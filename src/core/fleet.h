@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,8 +37,8 @@ struct FleetModelOptions {
   /// Fleet-unique serving name; "" defaults to `model`. Aliases let one
   /// fleet serve several *independent* streams of the same Table-3 model
   /// (multi-tenant shards, e.g. {"RM2-eu", "RM2-us"}), each with its own
-  /// session, budget share and traffic; every lookup (Session, Deploy,
-  /// load shifts, plan/serve results) goes by this name.
+  /// session, budget share and traffic; every lookup (Session, load
+  /// shifts, plan/serve results) goes by this name.
   std::string name;
   /// Allocation prior: under STATIC the model receives
   /// weight / sum(weights) of the global budget; under MARGINAL the
@@ -61,20 +60,12 @@ struct FleetModelOptions {
   /// scale path, DESIGN.md Sec. 12) and "TRACE" materializes the same
   /// file up front — the two replay bit-identical query sequences, so
   /// TRACE is the oracle STREAM is tested against. Both fall back to
-  /// the caller-provided mix for ObserveMix / MeasureAll.
+  /// the caller-provided mix for ObserveMixAll / MeasureAll.
   std::string trace;
   /// Trace CSV file backing this model's arrival stream; required
   /// non-empty when `trace` is "STREAM" or "TRACE" (".gz" accepted when
   /// zlib is built in), ignored otherwise.
   std::string trace_path;
-  /// STREAM refill size in bytes; 0 reads the whole file in one chunk.
-  /// Any value produces the identical query sequence.
-  std::size_t trace_chunk_bytes = 65536;
-  /// Lower bound on this model's budget share in $/hr; the effective
-  /// floor is max(min_budget_per_hour, cheapest base instance price).
-  double min_budget_per_hour = 0.0;
-  /// Upper bound on this model's budget share in $/hr; 0 = uncapped.
-  double max_budget_per_hour = 0.0;
   /// Multiplier on the model's Table-3 QoS target.
   double qos_scale = 1.0;
   /// Sliding window of the model's query monitor. Must be positive.
@@ -106,8 +97,6 @@ struct FleetOptions {
   /// weight-proportional split, "MARGINAL" water-fills on probed marginal
   /// QPS per dollar (see core/allocator.h).
   std::string allocator = "STATIC";
-  /// MARGINAL's water-filling increment in $/hr; 0 = auto.
-  double allocation_step_per_hour = 0.0;
   /// Threads used to probe / plan / measure independent models
   /// concurrently; 0 = hardware concurrency, 1 = serial.
   std::size_t planning_threads = 0;
@@ -126,12 +115,10 @@ struct FleetModelPlan {
 /// The fleet-wide answer. Invariants (asserted by tests/api_test.cc and
 /// tests/fleet_allocator_test.cc), for every model i:
 ///
-///   1. floor_i <= models[i].budget_per_hour <= ceiling_i, where floor_i
-///      is max(min_budget_per_hour, cheapest base price) and ceiling_i is
-///      max_budget_per_hour (infinity when 0);
+///   1. floor <= models[i].budget_per_hour, where the floor is the price
+///      of the catalog's cheapest base instance;
 ///   2. sum_i models[i].budget_per_hour <= budget_per_hour — allocators
-///      may leave budget unspent (all marginals zero / all models
-///      capped), never overspend;
+///      may leave budget unspent (all marginals zero), never overspend;
 ///   3. models[i].cost_per_hour <= models[i].budget_per_hour — each
 ///      chosen config fits inside its own share, so the fleet as a whole
 ///      fits the global budget;
@@ -355,32 +342,25 @@ class Fleet {
  public:
   /// Validates the request and builds one Kairos session per model.
   /// Errors: kInvalidArgument (empty model list, duplicate model,
-  /// weight / arrival_scale / qos_scale <= 0, monitor_warmup == 0, floor
-  /// above ceiling), kNotFound
-  /// (unknown model, planner, allocator or trace name, listing
-  /// alternatives), kInfeasible (a STATIC share below its floor, or
-  /// floors that together exceed the global budget).
+  /// weight / arrival_scale / qos_scale <= 0, monitor_warmup == 0, a
+  /// STREAM / TRACE model without trace_path), kNotFound (unknown model,
+  /// planner, allocator or trace name, listing alternatives), kInfeasible
+  /// (a STATIC share below its floor, or floors that together exceed the
+  /// global budget).
   static StatusOr<Fleet> Create(const cloud::Catalog& catalog,
                                 std::vector<FleetModelOptions> models,
                                 FleetOptions options = {});
 
   std::size_t size() const { return sessions_.size(); }
-  const std::vector<std::string>& model_names() const { return names_; }
   const FleetOptions& options() const { return options_; }
 
-  /// The session serving `model`, or kNotFound.
+  /// The session serving `model`, or kNotFound. Its budget is the
+  /// model's prior share: the STATIC split, or under MARGINAL the floor
+  /// plus a weight split of what the floors leave. The authoritative
+  /// share of a planning pass is FleetModelPlan::budget_per_hour.
+  /// Session(model)->Deploy(config) builds an engine serving one model's
+  /// configuration.
   StatusOr<const Kairos*> Session(const std::string& model) const;
-
-  /// This model's *prior* budget share in $/hr (the weight-proportional
-  /// split), or kNotFound. The authoritative per-model share of a
-  /// planning pass is FleetModelPlan::budget_per_hour — under MARGINAL
-  /// the allocator re-splits on every PlanAll().
-  StatusOr<double> BudgetFor(const std::string& model) const;
-
-  /// Warms one model's monitor from a batch distribution (the model's own
-  /// trace, when set, wins over `mix`).
-  Status ObserveMix(const std::string& model,
-                    const workload::BatchDistribution& mix);
 
   /// Warms every model's monitor — each from its own trace when set,
   /// from `mix` otherwise.
@@ -395,12 +375,6 @@ class Fleet {
   /// kFailedPrecondition when a monitor is empty.
   StatusOr<FleetPlan> PlanAll(
       const search::SearchOptions& search = {}) const;
-
-  /// Builds an engine serving one model's configuration with the Kairos
-  /// distributor (Kairos::Deploy on the model's session); kNotFound for a
-  /// model outside the fleet.
-  StatusOr<std::unique_ptr<serving::Engine>> Deploy(
-      const std::string& model, const cloud::Config& config) const;
 
   /// Measures allowable throughput of every planned model, concurrently,
   /// under the model's own trace when set and `mix` otherwise, through
@@ -454,7 +428,7 @@ class Fleet {
   /// One ServeAll co-simulation, split into named parts (fleet.cc).
   class Run;
 
-  Fleet(const cloud::Catalog& catalog, FleetOptions options);
+  Fleet(const cloud::Catalog& catalog, FleetOptions options, double floor);
 
   /// Index of `model` in names_, or kNotFound.
   StatusOr<std::size_t> Find(const std::string& model) const;
@@ -474,11 +448,10 @@ class Fleet {
 
   const cloud::Catalog& catalog_;
   FleetOptions options_;
+  /// Every model's share floor in $/hr: the cheapest base instance.
+  double floor_;
   std::vector<std::string> names_;    ///< fleet-unique serving names
   std::vector<FleetModelOptions> model_options_;  ///< same order
-  std::vector<double> budgets_;       ///< prior (weight-proportional) shares
-  std::vector<double> floors_;        ///< effective per-model floors, $/hr
-  std::vector<double> ceilings_;      ///< per-model ceilings, $/hr
   /// Per-model named-trace distributions; nullptr = caller-provided mix.
   std::vector<std::unique_ptr<workload::BatchDistribution>> mixes_;
   std::vector<Kairos> sessions_;      ///< one per model, same order

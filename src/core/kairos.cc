@@ -7,9 +7,8 @@ namespace kairos::core {
 Kairos::Kairos(const cloud::Catalog& catalog, const latency::ModelSpec& spec,
                KairosOptions options)
     : catalog_(catalog),
-      spec_(spec),
-      truth_(spec_.Instantiate(catalog)),
-      qos_ms_(spec_.qos_ms * options.qos_scale),
+      truth_(spec.Instantiate(catalog)),
+      qos_ms_(spec.qos_ms * options.qos_scale),
       options_(options),
       monitor_(options.monitor_warmup) {}
 

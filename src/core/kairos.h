@@ -74,9 +74,6 @@ class Kairos {
   /// Observes workload (warms the monitor) from a batch distribution.
   void ObserveMix(const workload::BatchDistribution& mix);
 
-  /// Observes a single live query batch size.
-  void ObserveQuery(int batch_size) { monitor_.Observe(batch_size); }
-
   /// Drops stale workload statistics (e.g. after a regime change).
   void ResetMonitor() { monitor_.Reset(); }
 
@@ -111,7 +108,6 @@ class Kairos {
       const serving::EvalOptions& eval_options) const;
 
   const workload::QueryMonitor& monitor() const { return monitor_; }
-  const latency::ModelSpec& model_spec() const { return spec_; }
   const latency::LatencyModel& truth() const { return truth_; }
   double qos_ms() const { return qos_ms_; }
   const KairosOptions& options() const { return options_; }
@@ -129,7 +125,6 @@ class Kairos {
   }
 
   const cloud::Catalog& catalog_;
-  const latency::ModelSpec& spec_;
   latency::LatencyModel truth_;
   double qos_ms_;
   KairosOptions options_;

@@ -1,6 +1,7 @@
 #include "core/planner_backend.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "cloud/config_space.h"
@@ -71,6 +72,22 @@ class KairosPlusBackend final : public PlannerBackend {
   }
 };
 
+/// HOMOGENEOUS's pick for a valid request: as many base instances as the
+/// budget buys, or kInfeasible when it buys none (the case in which
+/// cloud::BestHomogeneous throws; a NaN budget buys none either).
+StatusOr<cloud::Config> HomogeneousPick(const PlannerContext& ctx,
+                                        const PlanRequest& request) {
+  if (Status s = ValidateRequest(ctx, request); !s.ok()) return s;
+  const double base_price =
+      (*ctx.catalog)[ctx.catalog->BaseType()].price_per_hour;
+  if (!(std::floor(ctx.budget_per_hour / base_price + 1e-9) >= 1.0)) {
+    return Status::Infeasible("budget " +
+                              FormatDollarsPerHour(ctx.budget_per_hour) +
+                              " does not buy one base instance");
+  }
+  return cloud::BestHomogeneous(*ctx.catalog, ctx.budget_per_hour);
+}
+
 /// The paper's Sec. 4 baseline: as many base instances as the budget buys.
 class HomogeneousBackend final : public PlannerBackend {
  public:
@@ -78,18 +95,12 @@ class HomogeneousBackend final : public PlannerBackend {
 
   StatusOr<PlannerOutcome> Plan(const PlannerContext& ctx,
                                 const PlanRequest& request) const override {
-    if (Status s = ValidateRequest(ctx, request); !s.ok()) return s;
-    const cloud::Config config =
-        cloud::BestHomogeneous(*ctx.catalog, ctx.budget_per_hour);
-    if (config.TotalInstances() == 0) {
-      return Status::Infeasible("budget " +
-                                FormatDollarsPerHour(ctx.budget_per_hour) +
-                                " does not buy one base instance");
-    }
+    auto config = HomogeneousPick(ctx, request);
+    if (!config.ok()) return config.status();
     PlannerOutcome outcome;
-    outcome.config = config;
+    outcome.config = *std::move(config);
     if (request.eval != nullptr) {
-      outcome.expected_qps = request.eval(config);
+      outcome.expected_qps = request.eval(outcome.config);
       outcome.evaluations = 1;
     }
     return outcome;
@@ -100,19 +111,13 @@ class HomogeneousBackend final : public PlannerBackend {
   /// so allocators see what HOMOGENEOUS would actually deploy.
   StatusOr<PlannerOutcome> Probe(const PlannerContext& ctx,
                                  const PlanRequest& request) const override {
-    if (Status s = ValidateRequest(ctx, request); !s.ok()) return s;
-    const cloud::Config config =
-        cloud::BestHomogeneous(*ctx.catalog, ctx.budget_per_hour);
-    if (config.TotalInstances() == 0) {
-      return Status::Infeasible("budget " +
-                                FormatDollarsPerHour(ctx.budget_per_hour) +
-                                " does not buy one base instance");
-    }
+    auto config = HomogeneousPick(ctx, request);
+    if (!config.ok()) return config.status();
     PlannerOutcome outcome;
-    outcome.config = config;
+    outcome.config = *std::move(config);
     outcome.expected_qps =
         ub::UpperBoundEstimator(*ctx.catalog, *ctx.truth, ctx.qos_ms)
-            .QpsMax(config, *request.monitor);
+            .QpsMax(outcome.config, *request.monitor);
     return outcome;
   }
 };

@@ -7,6 +7,12 @@
 #include "common/rng.h"
 
 namespace kairos::search {
+namespace {
+
+constexpr double kInitialTemperature = 0.35;  ///< relative to observed QPS
+constexpr double kCooling = 0.92;             ///< geometric, per step
+
+}  // namespace
 
 SearchResult AnnealingSearch(const std::vector<cloud::Config>& configs,
                              const EvalFn& eval, const SearchOptions& options,
@@ -33,7 +39,7 @@ SearchResult AnnealingSearch(const std::vector<cloud::Config>& configs,
   cloud::Config current = configs[static_cast<std::size_t>(
       rng.UniformInt(0, static_cast<std::int64_t>(configs.size()) - 1))];
   double current_qps = evaluate(current);
-  double temperature = sa.initial_temperature * std::max(1.0, current_qps);
+  double temperature = kInitialTemperature * std::max(1.0, current_qps);
 
   const std::size_t dims = current.NumTypes();
   for (std::size_t step = 0; step < sa.steps && !done(); ++step) {
@@ -60,7 +66,7 @@ SearchResult AnnealingSearch(const std::vector<cloud::Config>& configs,
       current = neighbor;
       current_qps = neighbor_qps;
     }
-    temperature *= sa.cooling;
+    temperature *= kCooling;
   }
   return evaluator.ToResult();
 }

@@ -9,10 +9,9 @@
 
 namespace kairos::search {
 
-/// Annealing knobs.
+/// Annealing knobs. The walk's temperature starts at 0.35 x max(1, the
+/// first config's QPS) and cools geometrically by 0.92 per step.
 struct AnnealingOptions {
-  double initial_temperature = 0.35;  ///< relative to observed QPS scale
-  double cooling = 0.92;              ///< geometric cooling per step
   std::size_t steps = 40;
 };
 

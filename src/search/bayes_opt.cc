@@ -3,9 +3,12 @@
 #include <algorithm>
 
 #include "common/rng.h"
+#include "search/gp.h"
 
 namespace kairos::search {
 namespace {
+
+constexpr std::size_t kInitialDesign = 5;  ///< random seed evaluations
 
 // Normalizes count vectors to [0, 1] per dimension so one GP lengthscale
 // fits all types regardless of how many instances the budget affords.
@@ -34,8 +37,7 @@ std::vector<std::vector<double>> Normalize(
 }  // namespace
 
 SearchResult BayesOptSearch(const std::vector<cloud::Config>& configs,
-                            const EvalFn& eval, const SearchOptions& options,
-                            const BayesOptOptions& bo) {
+                            const EvalFn& eval, const SearchOptions& options) {
   CountingEvaluator evaluator(eval);
   CandidatePool pool(configs);
   Rng rng(options.seed);
@@ -68,12 +70,12 @@ SearchResult BayesOptSearch(const std::vector<cloud::Config>& configs,
     std::vector<cloud::Config> shuffled = configs;
     std::shuffle(shuffled.begin(), shuffled.end(), rng.engine());
     for (std::size_t i = 0;
-         i < std::min(bo.initial_design, shuffled.size()) && !done(); ++i) {
+         i < std::min(kInitialDesign, shuffled.size()) && !done(); ++i) {
       evaluate(shuffled[i]);
     }
   }
 
-  GaussianProcess gp(bo.gp);
+  GaussianProcess gp;
   while (!done()) {
     gp.Fit(seen_x, seen_y);
     const double best = evaluator.best_qps();

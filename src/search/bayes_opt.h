@@ -1,23 +1,16 @@
 // Bayesian-optimization configuration search — the Ribbon allocation
-// strategy (Sec. 7): GP surrogate over the normalized instance-count
-// lattice, expected-improvement acquisition, and (in Fig. 11's augmented
-// comparison) the same sub-configuration pruning Kairos+ uses.
+// strategy (Sec. 7): five random seed evaluations, then a GP surrogate
+// over the normalized instance-count lattice with expected-improvement
+// acquisition, and (in Fig. 11's augmented comparison) the same
+// sub-configuration pruning Kairos+ uses.
 #pragma once
 
-#include "search/gp.h"
 #include "search/search.h"
 
 namespace kairos::search {
 
-/// BO-specific knobs.
-struct BayesOptOptions {
-  std::size_t initial_design = 5;  ///< random seed evaluations
-  GpOptions gp;
-};
-
 SearchResult BayesOptSearch(const std::vector<cloud::Config>& configs,
                             const EvalFn& eval,
-                            const SearchOptions& options = {},
-                            const BayesOptOptions& bo = {});
+                            const SearchOptions& options = {});
 
 }  // namespace kairos::search

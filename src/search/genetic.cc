@@ -8,6 +8,11 @@
 namespace kairos::search {
 namespace {
 
+constexpr std::size_t kPopulation = 10;
+constexpr double kCrossoverRate = 0.8;
+constexpr double kMutationRate = 0.35;
+constexpr std::size_t kTournament = 3;
+
 // Repairs a count vector to the nearest feasible candidate: must exist in
 // the enumerated candidate set (which encodes budget and base-count rules).
 // Decrements counts greedily until a member of the set is hit.
@@ -59,7 +64,7 @@ SearchResult GeneticSearch(const std::vector<cloud::Config>& configs,
   {
     std::vector<cloud::Config> shuffled = configs;
     std::shuffle(shuffled.begin(), shuffled.end(), rng.engine());
-    shuffled.resize(std::min(ga.population, shuffled.size()));
+    shuffled.resize(std::min(kPopulation, shuffled.size()));
     for (const cloud::Config& c : shuffled) {
       population.push_back(c);
       fitness.push_back(evaluate(c));
@@ -70,7 +75,7 @@ SearchResult GeneticSearch(const std::vector<cloud::Config>& configs,
   auto tournament_pick = [&]() -> const cloud::Config& {
     std::size_t best = static_cast<std::size_t>(
         rng.UniformInt(0, static_cast<std::int64_t>(population.size()) - 1));
-    for (std::size_t k = 1; k < ga.tournament; ++k) {
+    for (std::size_t k = 1; k < kTournament; ++k) {
       const std::size_t cand = static_cast<std::size_t>(rng.UniformInt(
           0, static_cast<std::int64_t>(population.size()) - 1));
       if (fitness[cand] > fitness[best]) best = cand;
@@ -85,17 +90,17 @@ SearchResult GeneticSearch(const std::vector<cloud::Config>& configs,
     std::vector<cloud::Config> children;
     // Attempt bound: a failed repair draws a fresh child, but a generation
     // never spins forever.
-    std::size_t attempts_left = 64 * ga.population + 1024;
-    while (children.size() < ga.population && attempts_left-- > 0) {
+    std::size_t attempts_left = 64 * kPopulation + 1024;
+    while (children.size() < kPopulation && attempts_left-- > 0) {
       const cloud::Config& a = tournament_pick();
       const cloud::Config& b = tournament_pick();
       std::vector<int> child(dims);
       for (std::size_t d = 0; d < dims; ++d) {
         const bool from_a =
-            rng.Bernoulli(ga.crossover_rate) ? rng.Bernoulli(0.5) : true;
+            rng.Bernoulli(kCrossoverRate) ? rng.Bernoulli(0.5) : true;
         child[d] = (from_a ? a : b).counts()[d];
       }
-      if (rng.Bernoulli(ga.mutation_rate)) {
+      if (rng.Bernoulli(kMutationRate)) {
         const std::size_t d = static_cast<std::size_t>(
             rng.UniformInt(0, static_cast<std::int64_t>(dims) - 1));
         child[d] = std::max(0, child[d] + (rng.Bernoulli(0.5) ? 1 : -1));

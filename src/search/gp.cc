@@ -4,8 +4,11 @@
 #include <stdexcept>
 
 namespace kairos::search {
+namespace {
 
-GaussianProcess::GaussianProcess(GpOptions options) : options_(options) {}
+constexpr double kNoiseVariance = 1e-6;
+
+}  // namespace
 
 double GaussianProcess::Kernel(const std::vector<double>& a,
                                const std::vector<double>& b) const {
@@ -14,8 +17,8 @@ double GaussianProcess::Kernel(const std::vector<double>& a,
     const double d = a[i] - b[i];
     d2 += d * d;
   }
-  return options_.signal_variance *
-         std::exp(-0.5 * d2 / (options_.lengthscale * options_.lengthscale));
+  // Unit signal variance and unit lengthscale over the normalized inputs.
+  return std::exp(-0.5 * d2);
 }
 
 void GaussianProcess::Fit(const std::vector<std::vector<double>>& xs,
@@ -36,7 +39,7 @@ void GaussianProcess::Fit(const std::vector<std::vector<double>>& xs,
       k(i, j) = v;
       k(j, i) = v;
     }
-    k(i, i) += options_.noise_variance;
+    k(i, i) += kNoiseVariance;
   }
   chol_ = CholeskyFactor(k, /*jitter=*/1e-10);
   std::vector<double> centered(n);

@@ -1,7 +1,9 @@
 // Gaussian-process regression with an RBF kernel — the surrogate model
 // behind the Ribbon Bayesian-optimization baseline. Small and dense (the
 // config spaces have ~1e3 points and BO evaluates a few dozen), so exact
-// Cholesky inference is plenty.
+// Cholesky inference is plenty. The kernel has unit lengthscale over
+// normalized inputs and unit signal variance; observations carry 1e-6
+// noise variance.
 #pragma once
 
 #include <vector>
@@ -10,18 +12,9 @@
 
 namespace kairos::search {
 
-/// GP hyperparameters.
-struct GpOptions {
-  double lengthscale = 1.0;    ///< RBF lengthscale over normalized inputs
-  double signal_variance = 1.0;
-  double noise_variance = 1e-6;
-};
-
 /// Exact GP posterior over observed (x, y) pairs.
 class GaussianProcess {
  public:
-  explicit GaussianProcess(GpOptions options = {});
-
   /// Fits the posterior; `xs` are equal-length feature vectors. Re-fitting
   /// replaces previous data. y values are internally centered.
   void Fit(const std::vector<std::vector<double>>& xs,
@@ -40,7 +33,6 @@ class GaussianProcess {
   double Kernel(const std::vector<double>& a,
                 const std::vector<double>& b) const;
 
-  GpOptions options_;
   std::vector<std::vector<double>> xs_;
   double y_mean_ = 0.0;
   Matrix chol_;                  // Cholesky factor of K + noise I

@@ -11,6 +11,19 @@
 #include "workload/monitor.h"
 
 namespace kairos::serving {
+namespace {
+
+/// The admission knobs' one check, shared by Create() and SetAdmission().
+Status CheckAdmission(const AdmissionOptions& admission) {
+  if (!(admission.deadline_s >= 0.0)) {  // NaN fails too
+    return Status::InvalidArgument(
+        "admission deadline_s must be >= 0, got " +
+        std::to_string(admission.deadline_s));
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 const char* EngineStateName(EngineState state) {
   switch (state) {
@@ -57,6 +70,7 @@ Status Engine::Init() {
   if (spec_.config.TotalInstances() == 0) {
     return Status::InvalidArgument("engine needs at least one instance");
   }
+  if (Status s = CheckAdmission(options_.admission); !s.ok()) return s;
   predictor_ = std::make_unique<LatencyPredictor>(*spec_.catalog, *spec_.truth,
                                                   predictor_options_);
   // Lay out base-type instances first: several FCFS baselines resolve ties
@@ -389,12 +403,7 @@ Status Engine::SetAdmission(const AdmissionOptions& admission) {
         std::string("engine is ") + EngineStateName(state_) +
         "; mutations are only accepted while SERVING");
   }
-  if (admission.max_queue_s < 0.0 || admission.deadline_s < 0.0) {
-    return Status::InvalidArgument(
-        "admission knobs must be non-negative (max_queue_s " +
-        std::to_string(admission.max_queue_s) + ", deadline_s " +
-        std::to_string(admission.deadline_s) + ")");
-  }
+  if (Status s = CheckAdmission(admission); !s.ok()) return s;
   options_.admission = admission;
   // A newly set (or tightened) deadline takes effect on the current
   // queue right away rather than waiting for the next arrival.
@@ -603,21 +612,8 @@ void Engine::SampleQueueDepth() {
 }
 
 bool Engine::AdmissionRejects() const {
-  const AdmissionOptions& admission = options_.admission;
-  if (admission.max_queue > 0 && waiting_.size() >= admission.max_queue) {
-    return true;
-  }
-  if (admission.max_queue_s > 0.0 && !waiting_.empty()) {
-    double queued_work_s = 0.0;
-    for (const workload::Query& w : waiting_) {
-      queued_work_s += MinServiceSeconds(w.batch_size);
-    }
-    const std::size_t assignable = AssignableInstances();
-    queued_work_s /=
-        static_cast<double>(std::max<std::size_t>(assignable, 1));
-    if (queued_work_s > admission.max_queue_s) return true;
-  }
-  return false;
+  const std::size_t max_queue = options_.admission.max_queue;
+  return max_queue > 0 && waiting_.size() >= max_queue;
 }
 
 double Engine::MinServiceSeconds(int batch) const {

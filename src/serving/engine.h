@@ -101,20 +101,14 @@ struct WindowedMetrics {
 };
 
 /// Production admission-control and load-shedding knobs (DESIGN.md
-/// Sec. 12). Everything defaults to 0 = disabled, and a fully-disabled
-/// engine is bit-identical to a pre-admission build.
+/// Sec. 12). Both default to 0 = disabled, and a fully-disabled engine is
+/// bit-identical to a pre-admission build. Create() and SetAdmission()
+/// refuse a negative or NaN deadline_s with kInvalidArgument.
 struct AdmissionOptions {
   /// Reject arrivals while the central queue already holds this many
   /// queries (0 = unbounded). Rejected queries count as offered and as
   /// rejected, are reported to the monitor tap, and never enter the queue.
   std::size_t max_queue = 0;
-
-  /// Reject arrivals while the queued work — predicted fastest-type
-  /// service seconds summed over the central queue, divided by the
-  /// assignable-instance count — exceeds this many seconds (0 = off).
-  /// An O(queue x instances) estimate evaluated per arrival; intended
-  /// for moderate queue bounds, use max_queue for hard caps.
-  double max_queue_s = 0.0;
 
   /// Shed queued queries that can no longer finish within deadline_s of
   /// their arrival even if started immediately on the fastest assignable
@@ -149,9 +143,10 @@ class Engine {
  public:
   /// The only construction path. The engine owns the policy.
   /// kInvalidArgument on a bad spec (null catalog/truth, arity mismatch,
-  /// empty config, null policy). When `shared_clock` is non-null the
-  /// engine schedules onto it (fleet co-simulation) and the caller drives
-  /// that clock; the clock must outlive the engine.
+  /// empty config, null policy) or bad admission knobs. When
+  /// `shared_clock` is non-null the engine schedules onto it (fleet
+  /// co-simulation) and the caller drives that clock; the clock must
+  /// outlive the engine.
   static StatusOr<std::unique_ptr<Engine>> Create(
       SystemSpec spec, std::unique_ptr<policy::Policy> policy,
       PredictorOptions predictor_options = {}, EngineOptions options = {},
@@ -259,7 +254,7 @@ class Engine {
   /// Replaces the admission/shedding knobs mid-run (the SHED controller
   /// drives this at fleet barriers). A newly set or tightened deadline is
   /// applied to the queue at the next policy round. kInvalidArgument for
-  /// negative knobs; kFailedPrecondition unless SERVING.
+  /// the knobs Create() refuses; kFailedPrecondition unless SERVING.
   Status SetAdmission(const AdmissionOptions& admission);
 
   const AdmissionOptions& admission() const { return options_.admission; }
@@ -365,7 +360,6 @@ class Engine {
   std::vector<double> BilledSecondsPerType() const;
 
   const policy::Policy& GetPolicy() const { return *policy_; }
-  const SystemSpec& spec() const { return spec_; }
 
  private:
   struct SourceState {

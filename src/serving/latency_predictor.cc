@@ -1,14 +1,21 @@
 #include "serving/latency_predictor.h"
 
 #include <algorithm>
+#include <cstdint>
 
 namespace kairos::serving {
+namespace {
+
+/// Seed of the prediction-noise stream.
+constexpr std::uint64_t kNoiseSeed = 0x5EEDED;
+
+}  // namespace
 
 LatencyPredictor::LatencyPredictor(const cloud::Catalog& catalog,
                                    const latency::LatencyModel& truth,
                                    PredictorOptions options)
     : per_type_(catalog.size()),
-      noise_(options.noise_sigma, Rng(options.noise_seed)) {
+      noise_(options.noise_sigma, Rng(kNoiseSeed)) {
   if (options.pretrained) {
     // Seed the regression with two exact points per type: the converged
     // predictor the paper's steady state reaches.

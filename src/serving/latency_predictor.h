@@ -8,7 +8,6 @@
 // variability between the predicted and realized latency.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "cloud/instance_type.h"
@@ -26,11 +25,8 @@ struct PredictorOptions {
   bool pretrained = true;
 
   /// Relative std-dev of multiplicative prediction noise (0 = exact,
-  /// 0.05 reproduces Fig. 16b).
+  /// 0.05 reproduces Fig. 16b). The noise stream has a fixed seed.
   double noise_sigma = 0.0;
-
-  /// Seed for the noise stream.
-  std::uint64_t noise_seed = 0x5EEDED;
 };
 
 /// Learns and serves latency predictions per (type, batch).

@@ -5,6 +5,9 @@
 namespace kairos::telemetry {
 namespace {
 
+/// Trace ring capacity per shard; the newest events win (drop-oldest).
+constexpr std::size_t kTraceEventsPerShard = 4096;
+
 /// advance_wall_us buckets: 1 µs .. 100 ms, roughly log-spaced. An engine
 /// advance between barriers is typically tens of µs on the tiny suites
 /// and tens of ms on the sustained run.
@@ -15,14 +18,13 @@ std::vector<double> AdvanceBounds() {
 }  // namespace
 
 Telemetry::Telemetry(std::vector<std::string> shard_names,
-                     const TelemetryOptions& options,
                      std::size_t num_model_shards)
     : num_model_shards_(num_model_shards),
       metrics_(shard_names),
-      tracer_(std::move(shard_names), options.trace_events_per_shard) {}
+      tracer_(std::move(shard_names), kTraceEventsPerShard) {}
 
 StatusOr<std::unique_ptr<Telemetry>> Telemetry::Create(
-    std::vector<std::string> model_names, const TelemetryOptions& options) {
+    std::vector<std::string> model_names) {
   if (model_names.empty()) {
     return Status::InvalidArgument(
         "telemetry: need at least one model shard");
@@ -31,7 +33,7 @@ StatusOr<std::unique_ptr<Telemetry>> Telemetry::Create(
   model_names.push_back("fleet");
   // Private ctor: can't use make_unique.
   std::unique_ptr<Telemetry> telemetry(
-      new Telemetry(std::move(model_names), options, num_models));
+      new Telemetry(std::move(model_names), num_models));
 
   MetricRegistry& reg = telemetry->metrics_;
   // Registration failures here would be programming errors (fixed,

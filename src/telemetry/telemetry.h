@@ -46,22 +46,14 @@ struct BarrierSample {
   MetricSnapshot metrics;
 };
 
-/// Construction knobs of a Telemetry plane.
-struct TelemetryOptions {
-  /// Ring capacity per shard; the newest events win (drop-oldest).
-  std::size_t trace_events_per_shard = 4096;
-};
-
 class Telemetry {
  public:
-  using Options = TelemetryOptions;
-
   /// `model_names` name the per-model shards (one per fleet model, fleet
   /// order); a final "fleet" shard is appended for the driving thread.
-  /// kInvalidArgument when model_names is empty.
+  /// Each shard's trace ring keeps its newest 4096 events. kInvalidArgument
+  /// when model_names is empty.
   static StatusOr<std::unique_ptr<Telemetry>> Create(
-      std::vector<std::string> model_names,
-      const TelemetryOptions& options = {});
+      std::vector<std::string> model_names);
 
   MetricRegistry& metrics() { return metrics_; }
   const MetricRegistry& metrics() const { return metrics_; }
@@ -90,7 +82,7 @@ class Telemetry {
 
  private:
   Telemetry(std::vector<std::string> shard_names,
-            const TelemetryOptions& options, std::size_t num_model_shards);
+            std::size_t num_model_shards);
 
   std::size_t num_model_shards_;
   MetricRegistry metrics_;

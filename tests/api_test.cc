@@ -247,6 +247,23 @@ TEST_F(PlannerBackendTest, InfeasibleBudgetIsStatusNotThrow) {
   const auto outcome = (*backend)->Plan(Context(/*budget=*/0.01), request);
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status().code(), StatusCode::kInfeasible);
+
+  // Every backend's Plan and Probe, including HOMOGENEOUS's own pick,
+  // with the eval fn the evaluation backends need.
+  request.eval = [](const Config&) { return 1.0; };
+  for (const std::string& name : PlannerRegistry::Global().ListNames()) {
+    auto each = PlannerRegistry::Global().Build(name);
+    ASSERT_TRUE(each.ok()) << name;
+    std::optional<StatusOr<core::PlannerOutcome>> plan;
+    std::optional<StatusOr<core::PlannerOutcome>> probe;
+    EXPECT_NO_THROW(plan.emplace((*each)->Plan(Context(0.01), request)))
+        << name;
+    EXPECT_NO_THROW(probe.emplace((*each)->Probe(Context(0.01), request)))
+        << name;
+    ASSERT_TRUE(plan.has_value() && probe.has_value()) << name;
+    EXPECT_EQ(plan->status().code(), StatusCode::kInfeasible) << name;
+    EXPECT_EQ(probe->status().code(), StatusCode::kInfeasible) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -368,17 +385,17 @@ TEST(FleetTest, BudgetSplitInvariants) {
   ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
   EXPECT_EQ(fleet->size(), 2u);
 
-  // Weight-proportional shares that sum to the global budget.
-  const auto rm2_budget = fleet->BudgetFor("RM2");
-  const auto wnd_budget = fleet->BudgetFor("WND");
-  ASSERT_TRUE(rm2_budget.ok());
-  ASSERT_TRUE(wnd_budget.ok());
-  EXPECT_NEAR(*rm2_budget, 2.0 * *wnd_budget, 1e-9);
-  EXPECT_LE(*rm2_budget + *wnd_budget, options.budget_per_hour + 1e-9);
-
-  EXPECT_FALSE(fleet->BudgetFor("DIEN").ok());
-  ASSERT_TRUE(fleet->Session("RM2").ok());
-  EXPECT_EQ((*fleet->Session("RM2"))->options().budget_per_hour, *rm2_budget);
+  // Each session holds its weight-proportional share, and the shares
+  // sum to the global budget.
+  const auto rm2 = fleet->Session("RM2");
+  const auto wnd = fleet->Session("WND");
+  ASSERT_TRUE(rm2.ok());
+  ASSERT_TRUE(wnd.ok());
+  const double rm2_budget = (*rm2)->options().budget_per_hour;
+  const double wnd_budget = (*wnd)->options().budget_per_hour;
+  EXPECT_NEAR(rm2_budget, 2.0 * wnd_budget, 1e-9);
+  EXPECT_LE(rm2_budget + wnd_budget, options.budget_per_hour + 1e-9);
+  EXPECT_EQ(fleet->Session("DIEN").status().code(), StatusCode::kNotFound);
 
   // Planning before observing any workload is a sequencing error.
   const auto premature = fleet->PlanAll();
@@ -461,15 +478,14 @@ TEST(FleetTest, MeasureAllReportsEveryModel) {
   }
   EXPECT_NEAR(sum, measured->total_qps, 1e-9);
 
-  // Deploying a planned config through the fleet builds its engine;
-  // unknown models surface as kNotFound.
-  const auto engine = fleet->Deploy("RM2", plan->models[0].outcome.config);
+  // Deploying a planned config through the model's session builds its
+  // engine; unknown models surface as kNotFound.
+  const auto session = fleet->Session("RM2");
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const auto engine = (*session)->Deploy(plan->models[0].outcome.config);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   EXPECT_EQ((*engine)->target_config(), plan->models[0].outcome.config);
-  EXPECT_EQ(fleet->Deploy("DIEN", plan->models[0].outcome.config)
-                .status()
-                .code(),
-            StatusCode::kNotFound);
+  EXPECT_EQ(fleet->Session("DIEN").status().code(), StatusCode::kNotFound);
 }
 
 }  // namespace

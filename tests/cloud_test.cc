@@ -120,18 +120,6 @@ TEST(ConfigSpaceTest, BudgetGrowthIsMonotone) {
   }
 }
 
-TEST(ConfigSpaceTest, ExcludeEmptyAuxDropsHomogeneous) {
-  const Catalog c = Catalog::PaperPool();
-  ConfigSpaceOptions opt;
-  opt.budget_per_hour = 2.5;
-  opt.include_empty_aux = false;
-  for (const Config& cfg : EnumerateConfigs(c, opt)) {
-    int aux = 0;
-    for (TypeId t : c.AuxiliaryTypes()) aux += cfg.Count(t);
-    EXPECT_GT(aux, 0) << cfg.ToString();
-  }
-}
-
 TEST(ConfigSpaceTest, MinBaseInstancesRespected) {
   const Catalog c = Catalog::PaperPool();
   ConfigSpaceOptions opt;

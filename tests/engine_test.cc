@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -126,6 +127,18 @@ TEST(EngineTest, CreateRejectsBadSpecsWithStatus) {
   EXPECT_EQ(
       Engine::Create(TinySpec(catalog, truth, {1, 0}), nullptr).status().code(),
       StatusCode::kInvalidArgument);
+  // Create refuses the admission knobs SetAdmission refuses.
+  for (const double deadline_s : {-1.0, std::nan("")}) {
+    EngineOptions bad_admission;
+    bad_admission.admission.deadline_s = deadline_s;
+    EXPECT_EQ(Engine::Create(TinySpec(catalog, truth, {1, 0}),
+                             std::make_unique<policy::KairosPolicy>(),
+                             PredictorOptions{}, bad_admission)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << deadline_s;
+  }
   // EvaluateConfig builds each rate trial's engine with Create and reports
   // the same refusal as its documented std::invalid_argument.
   EXPECT_THROW(EvaluateConfig(
@@ -495,7 +508,6 @@ TEST(EngineAdmissionTest, HugeLimitsAreBitIdenticalToDisabled) {
   };
   AdmissionOptions generous;
   generous.max_queue = 1u << 20;
-  generous.max_queue_s = 1e6;
   generous.deadline_s = 1e6;
   const WindowedMetrics with_limits = run(generous);
   const WindowedMetrics disabled = run(AdmissionOptions{});

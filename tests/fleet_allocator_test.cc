@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -73,7 +75,6 @@ double TotalUtility(const AllocationProblem& problem,
 TEST(MarginalAllocatorTest, ConservesBudgetAndRespectsBounds) {
   auto allocator = *AllocatorRegistry::Global().Build("MARGINAL");
   auto problem = ConcaveProblem(10.0, {100.0, 300.0, 50.0}, {0.5, 0.9, 0.2});
-  problem.models[1].ceiling = 3.0;
 
   const auto shares = allocator->Allocate(problem);
   ASSERT_TRUE(shares.ok()) << shares.status().ToString();
@@ -81,7 +82,6 @@ TEST(MarginalAllocatorTest, ConservesBudgetAndRespectsBounds) {
   double sum = 0.0;
   for (std::size_t i = 0; i < shares->size(); ++i) {
     EXPECT_GE((*shares)[i], problem.models[i].floor - 1e-9);
-    EXPECT_LE((*shares)[i], problem.models[i].ceiling + 1e-9);
     sum += (*shares)[i];
   }
   EXPECT_LE(sum, problem.budget_per_hour + 1e-9);
@@ -156,9 +156,33 @@ TEST(MarginalAllocatorTest, RejectsDegenerateProblems) {
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
   EXPECT_NE(failed.status().message().find("m0"), std::string::npos);
+
+  // Two failing probes: the error names the first in model order at every
+  // thread count, even when the later model fails first.
+  auto two_errors = ConcaveProblem(5.0, {10.0, 10.0, 10.0, 10.0},
+                                   {1.0, 1.0, 1.0, 1.0});
+  two_errors.probe = [](std::size_t i, double) -> StatusOr<double> {
+    if (i == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      return Status::Internal("slow failure");
+    }
+    if (i == 2) return Status::Infeasible("fast failure");
+    return 1.0;
+  };
+  two_errors.threads = 1;
+  const auto serial = allocator->Allocate(two_errors);
+  ASSERT_FALSE(serial.ok());
+  EXPECT_EQ(serial.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(serial.status().message().rfind("model m1: ", 0), 0u)
+      << serial.status().message();
+  two_errors.threads = 4;
+  const auto pooled = allocator->Allocate(two_errors);
+  ASSERT_FALSE(pooled.ok());
+  EXPECT_EQ(pooled.status().code(), serial.status().code());
+  EXPECT_EQ(pooled.status().message(), serial.status().message());
 }
 
-TEST(StaticAllocatorTest, WeightProportionalWithFloorAndCeiling) {
+TEST(StaticAllocatorTest, WeightProportionalWithFloor) {
   auto allocator = *AllocatorRegistry::Global().Build("STATIC");
   AllocationProblem problem;
   problem.budget_per_hour = 6.0;
@@ -172,13 +196,6 @@ TEST(StaticAllocatorTest, WeightProportionalWithFloorAndCeiling) {
   auto shares = allocator->Allocate(problem);
   ASSERT_TRUE(shares.ok());
   EXPECT_NEAR((*shares)[0], 4.0, 1e-9);
-  EXPECT_NEAR((*shares)[1], 2.0, 1e-9);
-
-  // A ceiling clamps the share; the excess stays unspent.
-  problem.models[0].ceiling = 3.0;
-  shares = allocator->Allocate(problem);
-  ASSERT_TRUE(shares.ok());
-  EXPECT_NEAR((*shares)[0], 3.0, 1e-9);
   EXPECT_NEAR((*shares)[1], 2.0, 1e-9);
 
   // A share below its floor is infeasible, naming the model.

@@ -3,7 +3,8 @@
 // the STREAM registry contract, and the bit-identity oracle — a fleet
 // serving a trace through the bounded-memory STREAM source must produce
 // results field-for-field identical to the same trace materialized
-// through TRACE, at every serve_threads value and every chunk size.
+// through TRACE, at every serve_threads value. Chunk sizes are pinned
+// below the fleet: every size yields the same query sequence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -180,21 +181,18 @@ TEST(StreamSourceTest, EmitsExactlyWhatTraceSourceEmits) {
 }
 
 // --- Fleet-level bit-identity: STREAM vs the materialized TRACE oracle,
-// --- across serve_threads and chunk sizes. The whole point of the
-// --- streaming path is that nothing observable changes.
+// --- across serve_threads. The whole point of the streaming path is
+// --- that nothing observable changes.
 
 core::Fleet MakeTraceFleet(const std::string& trace_kind,
-                           const std::string& path,
-                           std::size_t chunk_bytes) {
+                           const std::string& path) {
   static const cloud::Catalog catalog = cloud::Catalog::PaperPool();
   core::FleetOptions options;
   options.budget_per_hour = 2.0;
   auto fleet = core::Fleet::Create(
       catalog,
-      {core::FleetModelOptions{.model = "NCF",
-                               .trace = trace_kind,
-                               .trace_path = path,
-                               .trace_chunk_bytes = chunk_bytes}},
+      {core::FleetModelOptions{
+          .model = "NCF", .trace = trace_kind, .trace_path = path}},
       options);
   EXPECT_TRUE(fleet.ok()) << fleet.status().ToString();
   fleet->ObserveMixAll(workload::LogNormalBatches::Production());
@@ -249,7 +247,7 @@ void ExpectSameServe(const core::FleetServeResult& a,
   EXPECT_EQ(a.shed_actions, b.shed_actions);
 }
 
-TEST(StreamingFleetTest, StreamMatchesTraceOracleAcrossThreadsAndChunks) {
+TEST(StreamingFleetTest, StreamMatchesTraceOracleAcrossThreads) {
   const std::string path = WriteTrace("fleet_trace.csv", 1500);
   core::FleetServeOptions serve;
   serve.duration_s = 10.0;
@@ -261,7 +259,7 @@ TEST(StreamingFleetTest, StreamMatchesTraceOracleAcrossThreadsAndChunks) {
     SCOPED_TRACE("serve_threads=" + std::to_string(threads));
     serve.serve_threads = threads;
 
-    const core::Fleet oracle = MakeTraceFleet("TRACE", path, 65536);
+    const core::Fleet oracle = MakeTraceFleet("TRACE", path);
     const auto oracle_plan = oracle.PlanAll();
     ASSERT_TRUE(oracle_plan.ok()) << oracle_plan.status().ToString();
     const auto want = oracle.ServeAll(*oracle_plan, serve);
@@ -272,16 +270,12 @@ TEST(StreamingFleetTest, StreamMatchesTraceOracleAcrossThreadsAndChunks) {
     EXPECT_EQ(want->models[0].totals.rejected, 0u);
     EXPECT_EQ(want->models[0].totals.shed, 0u);
 
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{4096},
-                                    std::size_t{0}}) {
-      SCOPED_TRACE("chunk_bytes=" + std::to_string(chunk));
-      const core::Fleet fleet = MakeTraceFleet("STREAM", path, chunk);
-      const auto plan = fleet.PlanAll();
-      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-      const auto got = fleet.ServeAll(*plan, serve);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      ExpectSameServe(*got, *want);
-    }
+    const core::Fleet fleet = MakeTraceFleet("STREAM", path);
+    const auto plan = fleet.PlanAll();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const auto got = fleet.ServeAll(*plan, serve);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameServe(*got, *want);
   }
   std::remove(path.c_str());
 }
@@ -305,7 +299,7 @@ TEST(StreamingFleetTest, SheddingUnderOverloadIsDeterministicAcrossThreads) {
                                     std::size_t{8}}) {
     SCOPED_TRACE("serve_threads=" + std::to_string(threads));
     serve.serve_threads = threads;
-    const core::Fleet fleet = MakeTraceFleet("STREAM", path, 512);
+    const core::Fleet fleet = MakeTraceFleet("STREAM", path);
     const auto plan = fleet.PlanAll();
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     auto result = fleet.ServeAll(*plan, serve);
@@ -326,7 +320,7 @@ TEST(StreamingFleetTest, SheddingUnderOverloadIsDeterministicAcrossThreads) {
 
   // The materialized oracle sheds the identical set.
   serve.serve_threads = 1;
-  const core::Fleet oracle = MakeTraceFleet("TRACE", path, 65536);
+  const core::Fleet oracle = MakeTraceFleet("TRACE", path);
   const auto plan = oracle.PlanAll();
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   const auto want = oracle.ServeAll(*plan, serve);
@@ -350,7 +344,7 @@ TEST(StreamingFleetTest, FileBackedTraceWithoutPathIsRejectedAtCreate) {
 
 TEST(StreamingFleetTest, NegativeAdmissionKnobsAreRejected) {
   const std::string path = WriteTrace("knob_trace.csv", 8);
-  const core::Fleet fleet = MakeTraceFleet("STREAM", path, 0);
+  const core::Fleet fleet = MakeTraceFleet("STREAM", path);
   const auto plan = fleet.PlanAll();
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   core::FleetServeOptions serve;
